@@ -16,7 +16,8 @@ verify      Run the exhaustive small-rank sweeps.
 types       Show the supported Dynkin diagrams and their cominuscule nodes.
 
 Exit codes: 0 success, 1 a verification failed or an internal invariant was
-violated, 2 usage error (bad arguments, malformed input).
+violated, 2 usage error (bad arguments, malformed input, or input the
+library refuses with a ValueError); errors print one line, no traceback.
 """
 
 from __future__ import annotations
@@ -526,7 +527,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # a library ValueError is input the library refuses, e.g. an
+        # interval beyond the enumeration guard
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:

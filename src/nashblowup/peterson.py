@@ -34,6 +34,7 @@ from .weyl import (
     format_word,
     interval_min_reps,
     inverse,
+    is_min_coset_rep,
     left_inversions,
     min_coset_rep,
     multiply,
@@ -236,17 +237,13 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
     if z.system is not d.system:
         raise ValueError("z belongs to a different root system")
     q = nashcore.nash_parabolic(d)
-    if not is_min_rep_for(z, q):
+    if not is_min_coset_rep(z, q):
         raise ValueError(f"{format_word(reduced_word(z))} is not in W^Q")
     if not bruhat_leq(z, d.w):
         raise ValueError(f"{format_word(reduced_word(z))} is not below w")
     winv = inverse(d.w)
     e_set = frozenset(winv(g) for g in left_inversions(d.w))
     return PetersonState(min_coset_rep(z, d.p), frozenset(z(r) for r in e_set))
-
-
-def is_min_rep_for(z: WeylElement, p: ParabolicSubset) -> bool:
-    return min_coset_rep(z, p) == z
 
 
 @dataclass(frozen=True)

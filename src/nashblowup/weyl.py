@@ -1,9 +1,13 @@
 """Weyl group elements, Bruhat order and parabolic coset representatives.
 
-An element is stored as its integer action matrix on simple-root coordinates
-(column j holds the coordinates of w(alpha_j)), which makes equality, hashing
-and composition exact and cheap at the ranks this package targets.  Elements
-are interned per root system, so repeated products hit caches instead of
+An element w is stored as the permutation it induces on the finite root set
+(the representation of CHEVIE and of Casselman's "Machine calculations in
+Weyl groups"): ``perm[i]`` is the index in ``system.roots`` of
+``w(system.roots[i])``.  Composition, length, descents and the action on a
+root are then table lookups.  The tables are ``bytes`` when the system has
+at most 256 roots and tuples otherwise; code only indexes, maps, hashes and
+compares them, so nothing else depends on that choice.  Elements are
+interned per root system, so repeated products hit caches instead of
 recomputing lengths and reduced words.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .rootsystem import Root, RootSystem, format_root
+from .rootsystem import Root, RootSystem
 
 __all__ = [
     "WeylElement",
@@ -31,7 +35,6 @@ __all__ = [
     "from_word",
     "multiply",
     "inverse",
-    "apply_to_root",
     "reduced_word",
     "format_word",
     "right_descents",
@@ -55,14 +58,19 @@ DEFAULT_INTERVAL_GUARD = 20
 
 
 class WeylElement:
-    """A Weyl group element as an action matrix on the root lattice."""
+    """A Weyl group element as a permutation of the root set.
 
-    __slots__ = ("system", "mat", "_hash", "_length", "_word")
+    ``perm[i]`` is the index in ``system.roots`` of ``w(system.roots[i])``.
+    Calling the element applies it to a root; any other vector raises
+    ``ValueError``.
+    """
 
-    def __init__(self, system: RootSystem, mat: tuple[tuple[int, ...], ...]) -> None:
+    __slots__ = ("system", "perm", "_hash", "_length", "_word")
+
+    def __init__(self, system: RootSystem, perm: bytes | tuple[int, ...]) -> None:
         self.system = system
-        self.mat = mat
-        self._hash = hash(mat)
+        self.perm = perm
+        self._hash = hash(perm)
         self._length: int | None = None
         self._word: tuple[int, ...] | None = None
 
@@ -70,7 +78,7 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and self.system is other.system
-            and self.mat == other.mat
+            and self.perm == other.perm
         )
 
     def __hash__(self) -> int:
@@ -81,20 +89,23 @@ class WeylElement:
 
     @property
     def length(self) -> int:
+        """The number of positive roots sent to negative ones."""
         if self._length is None:
-            self._length = sum(
-                1 for b in self.system.positive_roots if not self.system.is_positive(self(b))
-            )
+            n = len(self.system.positive_roots)
+            self._length = sum(1 for j in self.perm[:n] if j >= n)
         return self._length
 
     def __call__(self, root: Root) -> Root:
-        m = self.mat
-        n = self.system.rank
-        return tuple(sum(m[i][j] * root[j] for j in range(n)) for i in range(n))
+        rs = self.system
+        i = rs.index.get(root)
+        if i is None:
+            raise ValueError(f"{root} is not a root of {rs.cartan_type}")
+        return rs.roots[self.perm[i]]
 
     def column(self, j: int) -> Root:
-        """Image of alpha_j (1-based), read off without a matrix product."""
-        return tuple(row[j - 1] for row in self.mat)
+        """Image of alpha_j (1-based)."""
+        rs = self.system
+        return rs.roots[self.perm[_simple_indices(rs)[j - 1]]]
 
 
 @dataclass(frozen=True)
@@ -118,15 +129,25 @@ def _check_levi(system: RootSystem, p: ParabolicSubset) -> None:
 
 
 @lru_cache(maxsize=None)
-def _element(system: RootSystem, mat: tuple[tuple[int, ...], ...]) -> WeylElement:
-    return WeylElement(system, mat)
+def _element(system: RootSystem, perm: bytes | tuple[int, ...]) -> WeylElement:
+    return WeylElement(system, perm)
+
+
+@lru_cache(maxsize=None)
+def _simple_indices(system: RootSystem) -> tuple[int, ...]:
+    """Positions of alpha_1, ..., alpha_rank in system.roots."""
+    return tuple(system.index[a] for a in system.simple_roots)
+
+
+def _from_images(system: RootSystem, images: Iterable[Root]) -> WeylElement:
+    """The element sending system.roots[i] to the i-th image."""
+    pack = bytes if len(system.roots) <= 256 else tuple
+    return _element(system, pack(system.index[r] for r in images))
 
 
 @lru_cache(maxsize=None)
 def identity(system: RootSystem) -> WeylElement:
-    n = system.rank
-    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    e = _element(system, mat)
+    e = _from_images(system, system.roots)
     e._length = 0
     e._word = ()
     return e
@@ -135,29 +156,13 @@ def identity(system: RootSystem) -> WeylElement:
 @lru_cache(maxsize=None)
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
     """s_i, acting by s_i(alpha_j) = alpha_j - a[i][j] alpha_i."""
-    if not 1 <= i <= system.rank:
-        raise ValueError(f"simple index {i} out of range 1..{system.rank}")
-    n = system.rank
-    a = system.cartan_matrix
-    cols = []
-    for j in range(n):
-        col = [int(r == j) for r in range(n)]
-        col[i - 1] -= a[i - 1][j]
-        cols.append(col)
-    mat = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-    return _element(system, mat)
+    return reflection_from_root(system, system.simple_root(i))
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     if u.system is not v.system:
         raise ValueError("cannot multiply elements of different root systems")
-    n = u.system.rank
-    a, b = u.mat, v.mat
-    mat = tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return _element(u.system, mat)
+    return _element(u.system, type(u.perm)(map(u.perm.__getitem__, v.perm)))
 
 
 @lru_cache(maxsize=None)
@@ -173,13 +178,12 @@ def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
 
 
 def right_descents(w: WeylElement) -> frozenset[int]:
-    """{i : w(alpha_i) is a negative root}, read from matrix columns."""
-    out = []
-    for i in range(1, w.system.rank + 1):
-        col = w.column(i)
-        if any(c < 0 for c in col):
-            out.append(i)
-    return frozenset(out)
+    """{i : w(alpha_i) is a negative root}."""
+    n = len(w.system.positive_roots)
+    perm = w.perm
+    return frozenset(
+        i for i, k in enumerate(_simple_indices(w.system), 1) if perm[k] >= n
+    )
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -208,18 +212,17 @@ def format_word(word: Iterable[int]) -> str:
 
 @lru_cache(maxsize=None)
 def inverse(w: WeylElement) -> WeylElement:
-    return from_word(w.system, reversed(reduced_word(w)))
-
-
-def apply_to_root(w: WeylElement, root: Root) -> Root:
-    return w(root)
+    perm = w.perm
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return _element(w.system, type(perm)(inv))
 
 
 @lru_cache(maxsize=None)
 def left_inversions(w: WeylElement) -> frozenset[Root]:
     """LInv(w) = w(R^-) intersected with R^+."""
     rs = w.system
-    return frozenset(g for b in rs.negative_roots if rs.is_positive(g := w(b)))
+    n = len(rs.positive_roots)
+    return frozenset(rs.roots[j] for j in w.perm[n:] if j < n)
 
 
 @lru_cache(maxsize=None)
@@ -332,10 +335,7 @@ def reflection_from_root(system: RootSystem, alpha: Root) -> WeylElement:
     """The reflection r_alpha as a group element."""
     if not system.is_root(alpha):
         raise ValueError(f"{alpha} is not a root of {system.cartan_type}")
-    n = system.rank
-    cols = [system.reflect(alpha, system.simple_root(j)) for j in range(1, n + 1)]
-    mat = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-    return _element(system, mat)
+    return _from_images(system, (system.reflect(alpha, b) for b in system.roots))
 
 
 def longest_element(system: RootSystem) -> WeylElement:

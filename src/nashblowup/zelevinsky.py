@@ -179,8 +179,6 @@ def z_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
         need = box.r - prev_r
         nxt: dict[int, int] = {}
         for t_mask, ways in counts.items():
-            if t_mask & ~upper:
-                continue  # previous stage must sit inside this bound
             avail = _bit_list(upper & ~t_mask)
             for extra in combinations(avail, need):
                 new = t_mask

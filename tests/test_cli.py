@@ -1,14 +1,30 @@
 """Command line interface: exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nashblowup
 from nashblowup.cli import main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
+E7_TOP = "7,6,5,4,3,2,4,5,6,7,1,3,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7"
+
+
+def module_env(hash_seed=None):
+    """Environment for `python -m nashblowup` that finds this checkout."""
+    env = dict(os.environ)
+    src = str(Path(nashblowup.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return env
 
 
 def run(capsys, argv):
@@ -190,18 +206,36 @@ def test_unknown_subcommand_exits_2():
         [sys.executable, "-m", "nashblowup", "wat"],
         capture_output=True,
         text=True,
+        env=module_env(),
     )
     assert proc.returncode == 2
 
 
 def test_module_entrypoint_deterministic():
-    cmd = [sys.executable, "-m", "nashblowup", "peterson"] + A3_ARGS + [
-        "--format", "json",
-    ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
+    # element hashes follow PYTHONHASHSEED, so set iteration order differs
+    # between the two processes; the JSON must not
+    for command in ("nash", "peterson"):
+        cmd = [sys.executable, "-m", "nashblowup", command] + A3_ARGS + [
+            "--format", "json",
+        ]
+        first, second = (
+            subprocess.run(cmd, capture_output=True, text=True, env=module_env(seed))
+            for seed in (0, 12345)
+        )
+        assert first.returncode == 0, first.stderr
+        assert second.returncode == 0, second.stderr
+        assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("command", ["nash", "peterson"])
+def test_library_value_error_exits_2(capsys, command):
+    # the E7/P7 top cell has length 27, beyond the interval guard of 20
+    argv = [command, "--type", "E", "--rank", "7", "--node", "7", "--word", E7_TOP]
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: length 27 exceeds the interval guard")
 
 
 def test_output_file(tmp_path, capsys):

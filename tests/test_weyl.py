@@ -237,3 +237,111 @@ def test_bruhat_reflexive_and_bounded(word):
     assert bruhat_leq(w, w)
     assert bruhat_leq(identity(rs), w)
     assert bruhat_leq(w, longest_element(rs))
+
+
+# -- the root permutation against the action matrix --------------------------
+#
+# The matrix below is the representation the package used before elements
+# became permutations of the root set: column j holds the simple-root
+# coordinates of w(alpha_j), and s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
+
+ORACLE_TYPES = [("A", 7), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 7)]
+
+
+def _matmul(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+    ]
+
+
+def _apply(m, v):
+    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(v)))
+
+
+def _matrix_of_word(rs, word):
+    n = rs.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for letter in word:
+        s = [[int(r == j) for j in range(n)] for r in range(n)]
+        for j in range(n):
+            s[letter - 1][j] -= rs.cartan_matrix[letter - 1][j]
+        m = _matmul(m, s)
+    return m
+
+
+def _form(rs, x, y):
+    # (alpha_i, alpha_j) = d_i a[i][j] with the symmetrizer d
+    n = rs.rank
+    return sum(
+        x[i] * rs.symmetrizer[i] * rs.cartan_matrix[i][j] * y[j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _assert_matches_matrix(rs, w, m):
+    neg = [b for b in rs.roots if not rs.is_positive(b)]
+    for b in rs.roots:
+        assert w(b) == _apply(m, b)
+    assert w.length == sum(1 for b in rs.positive_roots if _apply(m, b) in neg)
+    cols = [tuple(row[j] for row in m) for j in range(rs.rank)]
+    for j, col in enumerate(cols, start=1):
+        assert w.column(j) == col
+    assert weyl.right_descents(w) == frozenset(
+        j for j, col in enumerate(cols, start=1) if any(c < 0 for c in col)
+    )
+
+
+@st.composite
+def _system_and_words(draw):
+    family, rank = draw(st.sampled_from(ORACLE_TYPES))
+    letters = st.lists(st.integers(min_value=1, max_value=rank), max_size=30)
+    return rootsystem.root_system(family, rank), draw(letters), draw(letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_system_and_words())
+def test_permutation_matches_matrix_oracle(case):
+    rs, word_u, word_v = case
+    u, v = from_word(rs, word_u), from_word(rs, word_v)
+    mu, mv = _matrix_of_word(rs, word_u), _matrix_of_word(rs, word_v)
+    _assert_matches_matrix(rs, u, mu)
+    _assert_matches_matrix(rs, multiply(u, v), _matmul(mu, mv))
+    _assert_matches_matrix(rs, inverse(u), _matrix_of_word(rs, reversed(word_u)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_TYPES), st.integers(min_value=0))
+def test_reflection_from_root_matches_matrix(spec, pick):
+    rs = rootsystem.root_system(*spec)
+    gamma = rs.roots[pick % len(rs.roots)]
+    n = rs.rank
+    # column j is alpha_j - <alpha_j, gamma^vee> gamma
+    cols = []
+    for a in rs.simple_roots:
+        c = 2 * _form(rs, a, gamma) // _form(rs, gamma, gamma)
+        cols.append(tuple(x - c * g for x, g in zip(a, gamma)))
+    m = [[cols[j][i] for j in range(n)] for i in range(n)]
+    _assert_matches_matrix(rs, reflection_from_root(rs, gamma), m)
+
+
+def test_tuple_tables_beyond_256_roots():
+    # A16 has 272 roots, too many for byte-sized indices; E7 has 126
+    rs = rootsystem.root_system("A", 16)
+    assert len(rs.roots) > 256
+    assert isinstance(identity(rs).perm, tuple)
+    assert isinstance(identity(rootsystem.root_system("E", 7)).perm, bytes)
+    word_u = [8, 7, 9, 8, 16, 1, 2, 3, 15, 14, 8]
+    word_v = [16, 15, 14, 13, 12, 11, 10, 9, 8]
+    u, v = from_word(rs, word_u), from_word(rs, word_v)
+    assert from_word(rs, reduced_word(u)) == u
+    assert len(reduced_word(u)) == u.length
+    m = _matmul(_matrix_of_word(rs, word_u), _matrix_of_word(rs, word_v))
+    _assert_matches_matrix(rs, multiply(u, v), m)
+
+
+def test_applying_to_a_non_root_raises(a3, a3_w):
+    for vector in [(2, 0, 0), (0, 0, 0), (1, 0, 1)]:
+        with pytest.raises(ValueError):
+            a3_w(vector)
