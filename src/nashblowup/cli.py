@@ -16,8 +16,8 @@ verify      Run the exhaustive small-rank sweeps.
 types       Show the supported Dynkin diagrams and their cominuscule nodes.
 
 Exit codes: 0 success, 1 a verification failed or an internal invariant was
-violated, 2 usage error (bad arguments, malformed input, or input the
-library refuses with a ValueError); errors print one line, no traceback.
+violated, 2 usage error (bad arguments, malformed input, or an interval
+beyond the enumeration guard); errors print one line, no traceback.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .rootsystem import (
     format_root,
 )
 from .weyl import (
+    IntervalGuardError,
     ParabolicSubset,
     format_word,
     from_word,
@@ -527,9 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        # a library ValueError is input the library refuses, e.g. an
-        # interval beyond the enumeration guard
+    except (UsageError, IntervalGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:

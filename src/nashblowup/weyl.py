@@ -4,11 +4,10 @@ An element w is stored as the permutation it induces on the finite root set
 (the representation of CHEVIE and of Casselman's "Machine calculations in
 Weyl groups"): ``perm[i]`` is the index in ``system.roots`` of
 ``w(system.roots[i])``.  Composition, length, descents and the action on a
-root are then table lookups.  The tables are ``bytes`` when the system has
-at most 256 roots and tuples otherwise; code only indexes, maps, hashes and
-compares them, so nothing else depends on that choice.  Elements are
-interned per root system, so repeated products hit caches instead of
-recomputing lengths and reduced words.
+root are then table lookups.  The tables are ``bytes`` (a sixth of a tuple's
+memory) up to 256 roots and tuples above; an element hashes as the tuple,
+which, unlike bytes, ignores PYTHONHASHSEED.  Elements are interned per root
+system, so repeated products hit caches instead of recomputing lengths.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
 s_1 s_3 s_2 and sends x to s_1(s_3(s_2(x))).  "Minimal coset representative"
@@ -42,6 +41,7 @@ __all__ = [
     "left_inversions_p",
     "bruhat_leq",
     "lower_interval",
+    "IntervalGuardError",
     "interval_min_reps",
     "is_min_coset_rep",
     "min_coset_rep",
@@ -57,6 +57,10 @@ INTERVAL_GUARD_ENV = "NASHBLOWUP_INTERVAL_MAX"
 DEFAULT_INTERVAL_GUARD = 20
 
 
+class IntervalGuardError(ValueError):
+    """An interval enumeration refused by the length guard or its setting."""
+
+
 class WeylElement:
     """A Weyl group element as a permutation of the root set.
 
@@ -70,7 +74,7 @@ class WeylElement:
     def __init__(self, system: RootSystem, perm: bytes | tuple[int, ...]) -> None:
         self.system = system
         self.perm = perm
-        self._hash = hash(perm)
+        self._hash = hash(tuple(perm))
         self._length: int | None = None
         self._word: tuple[int, ...] | None = None
 
@@ -273,15 +277,11 @@ def max_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
         cur = _right_mult(cur, min(ups))
 
 
-def _bruhat_same_system(v: WeylElement, w: WeylElement) -> None:
-    if v.system is not w.system:
-        raise ValueError("Bruhat comparison across different root systems")
-
-
 @lru_cache(maxsize=None)
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the descent recursion."""
-    _bruhat_same_system(v, w)
+    if v.system is not w.system:
+        raise ValueError("Bruhat comparison across different root systems")
     if v.length == 0:
         return True
     if v.length > w.length:
@@ -298,6 +298,8 @@ def _interval_guard(max_length: int | None) -> int:
     if max_length is not None:
         return max_length
     env = os.environ.get(INTERVAL_GUARD_ENV)
+    if env and not env.isdecimal():
+        raise IntervalGuardError(f"${INTERVAL_GUARD_ENV}={env!r} is not a length")
     return int(env) if env else DEFAULT_INTERVAL_GUARD
 
 
@@ -314,7 +316,7 @@ def lower_interval(w: WeylElement, max_length: int | None = None) -> frozenset[W
     """All v <= w.  Guarded by length to avoid accidental huge enumerations."""
     bound = _interval_guard(max_length)
     if w.length > bound:
-        raise ValueError(
+        raise IntervalGuardError(
             f"length {w.length} exceeds the interval guard {bound}; "
             f"raise it via the max_length argument or ${INTERVAL_GUARD_ENV}"
         )

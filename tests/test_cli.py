@@ -212,8 +212,8 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_module_entrypoint_deterministic():
-    # element hashes follow PYTHONHASHSEED, so set iteration order differs
-    # between the two processes; the JSON must not
+    # str hashes follow PYTHONHASHSEED, so set and dict iteration order may
+    # differ between the two processes; the JSON must not
     for command in ("nash", "peterson"):
         cmd = [sys.executable, "-m", "nashblowup", command] + A3_ARGS + [
             "--format", "json",
@@ -236,6 +236,25 @@ def test_library_value_error_exits_2(capsys, command):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: length 27 exceeds the interval guard")
+
+
+def test_bad_interval_guard_setting_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("NASHBLOWUP_INTERVAL_MAX", "lots")
+    code, out, err = run(capsys, ["nash"] + A3_ARGS)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $NASHBLOWUP_INTERVAL_MAX='lots' is not a length\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    # only a guard refusal means bad input; a ValueError from a library bug
+    # must surface, not read as exit 2
+    def broken(d):
+        raise ValueError("not a root")
+
+    monkeypatch.setattr(nashblowup.nashcore, "nash_report", broken)
+    with pytest.raises(ValueError, match="not a root"):
+        main(["nash"] + A3_ARGS)
 
 
 def test_output_file(tmp_path, capsys):

@@ -6,6 +6,10 @@ and compares the result pairwise over whole groups.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,3 +349,24 @@ def test_applying_to_a_non_root_raises(a3, a3_w):
     for vector in [(2, 0, 0), (0, 0, 0), (1, 0, 1)]:
         with pytest.raises(ValueError):
             a3_w(vector)
+
+
+def test_element_set_order_ignores_hash_seed():
+    # bytes hashes follow PYTHONHASHSEED; element hashes must not, so a set
+    # of elements iterates in the same order in every process
+    script = (
+        "from nashblowup import rootsystem, weyl\n"
+        "rs = rootsystem.root_system('D', 4)\n"
+        "print([weyl.reduced_word(w) for w in set(weyl.weyl_group(rs))])\n"
+    )
+    src = str(Path(weyl.__file__).resolve().parents[1])
+    outputs = []
+    for seed in (0, 12345):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
