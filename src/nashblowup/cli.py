@@ -16,14 +16,15 @@ verify      Run the exhaustive small-rank sweeps.
 types       Show the supported Dynkin diagrams and their cominuscule nodes.
 
 Exit codes: 0 success, 1 a verification failed or an internal invariant was
-violated, 2 usage error (bad arguments, malformed input, or an interval
-beyond the enumeration guard); errors print one line, no traceback.
+violated, 2 usage error (bad arguments or malformed input); errors print one
+line, no traceback.  Output cut short by the reader (``| head``) is not an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -36,7 +37,6 @@ from .rootsystem import (
     format_root,
 )
 from .weyl import (
-    IntervalGuardError,
     ParabolicSubset,
     format_word,
     from_word,
@@ -147,9 +147,14 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             if not text.endswith("\n"):
                 fh.write("\n")
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; the flush at shutdown must not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _json_dumps(payload: object) -> str:
@@ -528,7 +533,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, IntervalGuardError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:

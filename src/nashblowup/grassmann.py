@@ -50,7 +50,6 @@ __all__ = [
     "max_coset_rep_perm",
     "grassmannian_max_rep",
     "delta_w_perm",
-    "nash_levi_perm",
     "coess_nash_formula",
     "inclusion_boxes",
     "defined_by_inclusions",
@@ -260,10 +259,6 @@ def delta_w_perm(p: Permutation, k: int) -> frozenset[int]:
     return frozenset(
         j for j in range(1, n) if j != k and p[j] == p[j - 1] + 1
     )
-
-
-def nash_levi_perm(p: Permutation, k: int) -> frozenset[int]:
-    return delta_w_perm(p, k)
 
 
 def coess_nash_formula(p: Permutation, k: int) -> frozenset[CoessBox]:

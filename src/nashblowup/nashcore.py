@@ -125,7 +125,7 @@ def nash_parabolic(d: SchubertDatum) -> ParabolicSubset:
 
 
 def nash_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
-    """Torus-fixed points of the Nash blow-up: {z in W^Q : z <= w}."""
+    """Torus-fixed points of the Nash blow-up: {z in W^Q : z <= w}, walked inside W^Q."""
     return interval_min_reps(d.w, nash_parabolic(d))
 
 

@@ -120,6 +120,15 @@ def _string_key(beta: Root, alpha: Root) -> tuple:
     return (beta[j] % alpha[j], cross)
 
 
+@lru_cache(maxsize=None)
+def _string_ids(system: RootSystem, alpha: Root) -> dict[Root, int]:
+    """{root: id of its alpha-string}, one table per (system, alpha)."""
+    if not system.is_root(alpha):
+        raise ValueError(f"{alpha} is not a root")
+    ids: dict[tuple, int] = {}
+    return {b: ids.setdefault(_string_key(b, alpha), len(ids)) for b in system.roots}
+
+
 def alpha_strings(
     z: WeylElement, p: ParabolicSubset, alpha: Root
 ) -> tuple[frozenset[Root], ...]:
@@ -167,6 +176,10 @@ def sigma_shift(
     ambient = ambient_weights(z, p)
     if not m <= ambient:
         raise ValueError("weight set must live inside the ambient set of z")
+    ids = _string_ids(z.system, alpha)
+    if len({ids[beta] for beta in ambient}) == len(ambient):
+        # all strings are singletons {mu}, with mu - alpha outside the ambient set
+        return m
     out: set[Root] = set()
     for block in alpha_strings(z, p, alpha):
         c = len(block & m)

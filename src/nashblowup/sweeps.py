@@ -80,11 +80,8 @@ def cominuscule_data(
         w0 = longest_element(rs)
         for node in sorted(rs.cominuscule_simples):
             p = ParabolicSubset(frozenset(range(1, rs.rank + 1)) - {node})
-            reps = sorted(
-                interval_min_reps(w0, p, max_length=w0.length),
-                key=lambda w: (w.length, reduced_word(w)),
-            )
-            for w in reps:
+            reps = interval_min_reps(w0, p)
+            for w in sorted(reps, key=lambda w: (w.length, reduced_word(w))):
                 yield nashcore.SchubertDatum(system=rs, p=p, w=w)
 
 

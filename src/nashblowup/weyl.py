@@ -9,6 +9,9 @@ memory) up to 256 roots and tuples above; an element hashes as the tuple,
 which, unlike bytes, ignores PYTHONHASHSEED.  Elements are interned per root
 system, so repeated products hit caches instead of recomputing lengths.
 
+Ideals {v in W^P : v <= w} are walked upwards from e inside W^P (Bjorner-
+Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), never listing all of W.
+
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
 s_1 s_3 s_2 and sends x to s_1(s_3(s_2(x))).  "Minimal coset representative"
 always refers to right cosets w W_P.
@@ -16,7 +19,6 @@ always refers to right cosets w W_P.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +43,6 @@ __all__ = [
     "left_inversions_p",
     "bruhat_leq",
     "lower_interval",
-    "IntervalGuardError",
     "interval_min_reps",
     "is_min_coset_rep",
     "min_coset_rep",
@@ -49,17 +50,7 @@ __all__ = [
     "reflection_from_root",
     "longest_element",
     "weyl_group",
-    "INTERVAL_GUARD_ENV",
-    "DEFAULT_INTERVAL_GUARD",
 ]
-
-INTERVAL_GUARD_ENV = "NASHBLOWUP_INTERVAL_MAX"
-DEFAULT_INTERVAL_GUARD = 20
-
-
-class IntervalGuardError(ValueError):
-    """An interval enumeration refused by the length guard or its setting."""
-
 
 class WeylElement:
     """A Weyl group element as a permutation of the root set.
@@ -294,42 +285,44 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return bruhat_leq(v, wsi)
 
 
-def _interval_guard(max_length: int | None) -> int:
-    if max_length is not None:
-        return max_length
-    env = os.environ.get(INTERVAL_GUARD_ENV)
-    if env and not env.isdecimal():
-        raise IntervalGuardError(f"${INTERVAL_GUARD_ENV}={env!r} is not a length")
-    return int(env) if env else DEFAULT_INTERVAL_GUARD
-
-
 @lru_cache(maxsize=64)
-def _lower_interval(w: WeylElement) -> frozenset[WeylElement]:
-    # subword products of one reduced word, deduplicated prefix by prefix
-    current: set[WeylElement] = {identity(w.system)}
-    for i in reduced_word(w):
-        current |= {_right_mult(v, i) for v in current}
-    return frozenset(current)
+def _ideal(w: WeylElement, levi: frozenset[int]) -> frozenset[WeylElement]:
+    # if z is in W^P, z <= w and s_i z < z, then s_i z is in W^P and below w,
+    # so stepping up from e by left multiplication reaches the whole ideal
+    rs = w.system
+    n = len(rs.positive_roots)
+    simples = _simple_indices(rs)
+    levi_idx = [simples[j - 1] for j in levi]
+    # lifting property: if s_i w < w and z <= w, then s_i z <= w
+    lifts = {i for i, k in enumerate(simples, 1) if k in w.perm[n:]}
+    found = [identity(rs)]
+    tried = set(found)
+    for z in found:  # grows while it is read: a breadth-first walk
+        for i, k in enumerate(simples, 1):
+            if z.perm.index(k) >= n:  # z^-1(alpha_i) < 0, so s_i z < z
+                continue
+            y = multiply(simple_reflection(rs, i), z)
+            if y in tried:
+                continue
+            tried.add(y)
+            y._length = z.length + 1
+            if all(y.perm[j] < n for j in levi_idx):
+                if i in lifts or bruhat_leq(y, w):
+                    found.append(y)
+    return frozenset(found)
 
 
-def lower_interval(w: WeylElement, max_length: int | None = None) -> frozenset[WeylElement]:
-    """All v <= w.  Guarded by length to avoid accidental huge enumerations."""
-    bound = _interval_guard(max_length)
-    if w.length > bound:
-        raise IntervalGuardError(
-            f"length {w.length} exceeds the interval guard {bound}; "
-            f"raise it via the max_length argument or ${INTERVAL_GUARD_ENV}"
-        )
-    return _lower_interval(w)
+def lower_interval(w: WeylElement) -> frozenset[WeylElement]:
+    """All v <= w: the walk of :func:`interval_min_reps` with an empty Levi."""
+    return _ideal(w, frozenset())
 
 
 def interval_min_reps(
     w: WeylElement, p: ParabolicSubset, max_length: int | None = None
 ) -> frozenset[WeylElement]:
-    """{v in W^P : v <= w}."""
-    return frozenset(
-        v for v in lower_interval(w, max_length) if is_min_coset_rep(v, p)
-    )
+    """{v in W^P : v <= w}, walked upwards inside W^P without listing W."""
+    _check_levi(w.system, p)  # max_length is ignored, kept for old callers
+    return _ideal(w, p.levi)
 
 
 @lru_cache(maxsize=None)

@@ -45,7 +45,6 @@ __all__ = [
     "covexillary_datum",
     "min_reps_perm",
     "schubert_fixed_points",
-    "schubert_fixed_flags",
     "z_fiber_count",
     "zdual_fiber_count",
     "fiberproduct_count",
@@ -125,10 +124,6 @@ def schubert_fixed_points(d: CovexillaryDatum) -> list[tuple[Permutation, CoordF
     if len(set(flags)) != len(flags):
         raise RuntimeError("fixed flags failed to separate fixed points")
     return out
-
-
-def schubert_fixed_flags(d: CovexillaryDatum) -> tuple[CoordFlag, ...]:
-    return tuple(f for _, f in schubert_fixed_points(d))
 
 
 def _mask(vals) -> int:

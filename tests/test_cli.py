@@ -228,22 +228,37 @@ def test_module_entrypoint_deterministic():
 
 
 @pytest.mark.parametrize("command", ["nash", "peterson"])
-def test_library_value_error_exits_2(capsys, command):
-    # the E7/P7 top cell has length 27, beyond the interval guard of 20
+def test_e7_top_cell(capsys, command):
+    # length 27: the ideal below it in W^P is walked, never all of W(E7)
     argv = [command, "--type", "E", "--rank", "7", "--node", "7", "--word", E7_TOP]
     code, out, err = run(capsys, argv + ["--format", "json"])
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: length 27 exceeds the interval guard")
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    if command == "nash":
+        assert payload["fixed_point_count"] == 56
+        assert len(payload["fibers"]) == 56
+        assert all(len(f["fiber_words"]) == 1 for f in payload["fibers"])
+    else:
+        assert len(payload["nodes"]) == len(payload["fixed_point_table"]) == 56
 
 
-def test_bad_interval_guard_setting_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("NASHBLOWUP_INTERVAL_MAX", "lots")
-    code, out, err = run(capsys, ["nash"] + A3_ARGS)
-    assert code == 2
-    assert out == ""
-    assert err == "error: $NASHBLOWUP_INTERVAL_MAX='lots' is not a length\n"
+def test_closed_stdout_is_not_an_error():
+    # the read end of the pipe is closed before the child writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nashblowup", "nash"] + A3_ARGS,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=module_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):

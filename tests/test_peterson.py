@@ -6,7 +6,7 @@ by hand.  Weight sets are written in simple-root coordinates.
 
 import pytest
 
-from nashblowup import grassmann, nashcore, peterson, rootsystem, weyl
+from nashblowup import grassmann, nashcore, peterson, rootsystem, weyl, zelevinsky
 from nashblowup.peterson import (
     PetersonState,
     alpha_minimal,
@@ -175,6 +175,12 @@ class TestStringsOnCovexillarySeed:
             }
         )
 
+    def test_sigma_shift_moves_a_lone_weight_down(self, seed):
+        # one weight per string is still packed to the string's bottom
+        _, z, p = seed
+        shifted = sigma_shift(z, p, frozenset({self.B_A1}), self.GAMMA)
+        assert shifted == frozenset({self.B_NA2})
+
     def test_tau_step(self, seed):
         _, z, p = seed
         state = PetersonState(z, left_inversions(z))
@@ -305,3 +311,59 @@ def test_fixed_point_table_shape(a3_datum):
     # every row carries exactly length-many weights
     for row in rows:
         assert len(row["weights"]) == 3
+
+
+# -- sigma against a packing written out from the strings ----------------------
+
+
+def _packed(z, p, m, gamma):
+    """Each gamma-string of M moved down to its gamma-minimal end."""
+    ambient = ambient_weights(z, p)
+    out = set()
+    for block in alpha_strings(z, p, gamma):
+        count = len(block & m)
+        if count:
+            mu = alpha_minimal(block, gamma, ambient)
+            out |= {tuple(x + k * g for x, g in zip(mu, gamma)) for k in range(count)}
+    return frozenset(out)
+
+
+def _top_cell(family, rank, node):
+    rs = rootsystem.root_system(family, rank)
+    p = ParabolicSubset(frozenset(range(1, rank + 1)) - {node})
+    return weyl.min_coset_rep(weyl.longest_element(rs), p), p
+
+
+def _covexillary_seed(w):
+    # the graph conjecture_check builds: seeded at the minimal representative
+    # of w W_P for the non-maximal levi of the covexillary datum
+    d = zelevinsky.covexillary_datum(w)
+    rs = rootsystem.root_system("A", d.n - 1)
+    seed = grassmann.min_coset_rep_perm(w, d.levi)
+    return grassmann.perm_to_weyl(rs, seed), ParabolicSubset(d.levi)
+
+
+SIGMA_GRAPHS = {
+    "E6/P1 top cell": lambda: _top_cell("E", 6, 1),
+    "D5/P1 top cell": lambda: _top_cell("D", 5, 1),
+    "(5,2,3,4,1)": lambda: _covexillary_seed((5, 2, 3, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("name", SIGMA_GRAPHS)
+def test_sigma_shift_matches_packing_on_every_edge(name):
+    w, p = SIGMA_GRAPHS[name]()
+    graph = eventual_translates(w, p)
+    nontrivial = 0
+    for state, gamma, target in graph.edges:
+        z = state.z
+        blocks = alpha_strings(z, p, gamma)
+        nontrivial += any(len(b) > 1 for b in blocks)
+        expected = _packed(z, p, state.weights, gamma)
+        assert sigma_shift(z, p, state.weights, gamma) == expected
+        refl = weyl.reflection_from_root(z.system, gamma)
+        assert target.weights == frozenset(refl(r) for r in expected)
+    if name == "(5,2,3,4,1)":
+        assert nontrivial > 0  # the packing itself runs here
+    else:
+        assert nontrivial == 0  # cominuscule: every string is a singleton

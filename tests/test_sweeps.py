@@ -5,7 +5,7 @@ enumeration sizes and the outcome bookkeeping so a silent change in the
 iteration space cannot slip through.
 """
 
-from nashblowup import sweeps
+from nashblowup import nashcore, peterson, rootsystem, sweeps, weyl
 from nashblowup.sweeps import (
     SweepOutcome,
     cominuscule_data,
@@ -96,3 +96,21 @@ def test_conjecture_sweep_parallel_matches_serial():
     parallel = conjecture_sweep(4, jobs=2)
     assert serial.checked == parallel.checked
     assert serial.failures == parallel.failures
+
+
+def test_e6_cominuscule_sweep():
+    # theorem 2 and fiber-versus-translate singular agreement on all 54 E6
+    # data, the sweep that verify's type ranges do not reach
+    rs = rootsystem.root_system("E", 6)
+    w0 = weyl.longest_element(rs)
+    nodes = []
+    for node in sorted(rs.cominuscule_simples):
+        p = weyl.ParabolicSubset(frozenset(range(1, 7)) - {node})
+        for w in weyl.interval_min_reps(w0, p):
+            d = nashcore.SchubertDatum(system=rs, p=p, w=w)
+            report = peterson.verify_theorem2(d)
+            assert report.ok, weyl.reduced_word(w)
+            assert report.fixed_point_count == report.state_count
+            assert nashcore.singular_fixed_points(d) == peterson.ck_singular_points(w, p)
+            nodes.append(node)
+    assert nodes == [1] * 27 + [6] * 27

@@ -147,16 +147,6 @@ def test_lower_interval_counts(a3, b3):
     assert len(lower_interval(w)) == 8
 
 
-def test_lower_interval_guard():
-    # length 21 exceeds the default guard of 20; an explicit bound lifts it
-    rs = rootsystem.root_system("A", 6)
-    w0 = longest_element(rs)
-    assert w0.length == 21
-    with pytest.raises(ValueError):
-        lower_interval(w0)
-    assert len(lower_interval(w0, max_length=21)) == 5040
-
-
 def test_min_coset_rep_properties(a3, a3_parabolic):
     reps = set()
     for w in weyl_group(a3):
@@ -193,6 +183,48 @@ def test_interval_min_reps_golden(a3, a3_w, a3_parabolic):
     reps = interval_min_reps(a3_w, a3_parabolic)
     words = sorted(reduced_word(v) for v in reps)
     assert words == [(), (1, 2), (2,), (3, 1, 2), (3, 2)]
+
+
+IDEAL_TYPES = [("A", 4), ("B", 3), ("C", 3), ("D", 4)]
+
+
+@st.composite
+def _element_and_levi(draw):
+    family, rank = draw(st.sampled_from(IDEAL_TYPES))
+    rs = rootsystem.root_system(family, rank)
+    word = draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=14))
+    levi = draw(st.sets(st.integers(min_value=1, max_value=rank)))
+    return rs, from_word(rs, word), ParabolicSubset(frozenset(levi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_element_and_levi())
+def test_interval_min_reps_matches_group_filter(case):
+    rs, w, p = case
+    expected = {
+        v for v in weyl_group(rs) if weyl.is_min_coset_rep(v, p) and bruhat_leq(v, w)
+    }
+    assert interval_min_reps(w, p) == expected
+    if not p.levi:
+        assert lower_interval(w) == expected
+
+
+def _quotient_size(rs, p):
+    group_order = {"E6": 51840, "E7": 2903040}[str(rs.cartan_type)]
+    levi_order = sum(1 for _ in weyl.elements_of_parabolic(rs, p))
+    assert group_order % levi_order == 0
+    return group_order // levi_order
+
+
+def test_interval_min_reps_counts_maximal_quotients():
+    rs = rootsystem.root_system("E", 6)
+    w0 = longest_element(rs)
+    for node in range(1, 7):
+        p = ParabolicSubset(frozenset(range(1, 7)) - {node})
+        assert len(interval_min_reps(w0, p)) == _quotient_size(rs, p)
+    rs = rootsystem.root_system("E", 7)
+    p7 = ParabolicSubset(frozenset(range(1, 7)))
+    assert len(interval_min_reps(longest_element(rs), p7)) == _quotient_size(rs, p7) == 56
 
 
 def test_reflection_from_root(b3):
