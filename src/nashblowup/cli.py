@@ -5,8 +5,8 @@ Subcommands
 nash        Nash blow-up data of one Schubert datum: the simple roots kept
             by w, the parabolic they generate, fixed points, fibers and the
             singular locus.
-peterson    Translation graph of a (w, P) pair; optionally the fixed-point
-            table when the datum is cominuscule.  Formats: text, json, dot.
+peterson    Translation graph of a cominuscule datum (w, P) and the table of
+            fixed points with their translates.  Formats: text, json, dot.
 grassmann   Type-A report for a Grassmannian permutation: partition,
             coessential boxes, the Nash levi set, the induced flag variety
             and incidence conditions, and the smoothness verdict.
@@ -208,27 +208,15 @@ def cmd_nash(args: argparse.Namespace) -> int:
 # -- peterson --------------------------------------------------------------
 
 
-def _peterson_graph(args: argparse.Namespace):
+def cmd_peterson(args: argparse.Namespace) -> int:
     d = _build_datum(args)
     graph = peterson.eventual_translates(d.w, d.p)
-    return d, graph
-
-
-def cmd_peterson(args: argparse.Namespace) -> int:
-    d, graph = _peterson_graph(args)
     if args.format == "dot":
         _emit(peterson.graph_to_dot(graph), args)
         return 0
     if args.format == "json":
         payload = peterson.graph_to_json(graph)
-        payload["fixed_point_table"] = [
-            {
-                "v": row["v"],
-                "v_tilde": row["v_tilde"],
-                "weights": row["weights"],
-            }
-            for row in peterson.fixed_point_table(d)
-        ]
+        payload["fixed_point_table"] = peterson.fixed_point_table(d)
         _emit(_json_dumps(payload), args)
         return 0
     rs = d.system
@@ -334,6 +322,8 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         raise UsageError("need --perm or --n")
     if args.perm is not None:
         w = _parse_perm(args.perm)
+        if len(w) < 2:
+            raise UsageError(f"--perm {args.perm}: the check needs n >= 2")
         if not grassmann.is_covexillary(w):
             raise UsageError(f"{w} is not covexillary")
         report = zelevinsky.conjecture_check(w)
@@ -356,6 +346,8 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             _emit("\n".join(lines), args)
         return 0 if report.ok else CHECK_FAILED
 
+    if args.n < 2:
+        raise UsageError(f"--n {args.n}: the sweep needs n >= 2")
     outcome = sweeps.conjecture_sweep(args.n, jobs=args.jobs)
     if args.format == "json":
         _emit(
@@ -377,6 +369,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.conjecture_n and args.conjecture_n < 2:
+        raise UsageError(
+            f"--conjecture-n {args.conjecture_n}: the sweep needs n >= 2 (0 skips it)"
+        )
     outcomes = []
     if not args.skip_translates:
         outcomes.append(

@@ -51,7 +51,6 @@ __all__ = [
     "grassmannian_max_rep",
     "delta_w_perm",
     "coess_nash_formula",
-    "inclusion_boxes",
     "defined_by_inclusions",
     "is_covexillary",
     "nash_blowup_smooth",
@@ -285,10 +284,6 @@ def coess_nash_formula(p: Permutation, k: int) -> frozenset[CoessBox]:
 
 
 # -- smoothness --------------------------------------------------------------
-
-
-def inclusion_boxes(p: Permutation) -> frozenset[CoessBox]:
-    return frozenset(b for b in coessential_set(p) if b.is_inclusion)
 
 
 def defined_by_inclusions(p: Permutation) -> bool:

@@ -15,7 +15,6 @@ points of X_w^P, and hence the smooth locus.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,16 +24,13 @@ from .weyl import (
     WeylElement,
     bruhat_leq,
     format_word,
-    identity,
     interval_min_reps,
     inverse,
     is_min_coset_rep,
     left_inversions,
     min_coset_rep,
-    multiply,
     reduced_word,
     _check_levi,
-    _right_mult,
 )
 
 __all__ = [
@@ -44,6 +40,7 @@ __all__ = [
     "delta_w",
     "nash_parabolic",
     "nash_fixed_points",
+    "nash_fibers",
     "nash_fiber",
     "is_smooth_point",
     "singular_fixed_points",
@@ -129,12 +126,24 @@ def nash_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
     return interval_min_reps(d.w, nash_parabolic(d))
 
 
+def nash_fibers(d: SchubertDatum) -> dict[WeylElement, frozenset[WeylElement]]:
+    """{v: fiber over v} for every fixed point v of X_w^P.
+
+    The blow-down is the coset projection W^Q -> W^P on fixed points, so the
+    fixed points of the blow-up are grouped by their minimal representative
+    modulo W_P.
+    """
+    groups: dict[WeylElement, set[WeylElement]] = {}
+    for z in nash_fixed_points(d):
+        groups.setdefault(min_coset_rep(z, d.p), set()).add(z)
+    return {v: frozenset(g) for v, g in groups.items()}
+
+
 def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:
     """Fixed points of the blow-up lying over the fixed point v of X_w^P.
 
-    Enumerated by breadth-first search inside W_P: the set
-    {u in W_P : v u <= w} is a lower order ideal, so growing reduced words
-    letter by letter under the Bruhat bound reaches all of it.
+    The entry of :func:`nash_fibers` at v, after checking that v is in W^P
+    and below w.
     """
     if v.system is not d.system:
         raise ValueError("v belongs to a different root system")
@@ -144,24 +153,7 @@ def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:
         raise ValueError(
             f"{format_word(reduced_word(v))} is not a fixed point of the variety"
         )
-    q_levi = delta_w(d)
-    e = identity(d.system)
-    seen: set[WeylElement] = {e}
-    queue: deque[WeylElement] = deque([e])
-    fiber = []
-    while queue:
-        u = queue.popleft()
-        # v u is in W^Q iff u has no right descent inside Delta_w
-        if not any(any(c < 0 for c in u.column(i)) for i in q_levi):
-            fiber.append(multiply(v, u))
-        for i in d.p.levi:
-            nxt = _right_mult(u, i)
-            if nxt.length <= u.length or nxt in seen:
-                continue
-            if bruhat_leq(multiply(v, nxt), d.w):
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(fiber)
+    return nash_fibers(d)[v]
 
 
 def is_smooth_point(v: WeylElement, d: SchubertDatum) -> bool:
@@ -169,19 +161,10 @@ def is_smooth_point(v: WeylElement, d: SchubertDatum) -> bool:
     return len(nash_fiber(v, d)) == 1
 
 
-def _fibers_by_projection(
-    d: SchubertDatum,
-) -> dict[WeylElement, frozenset[WeylElement]]:
-    groups: dict[WeylElement, set[WeylElement]] = {}
-    for z in nash_fixed_points(d):
-        groups.setdefault(min_coset_rep(z, d.p), set()).add(z)
-    return {v: frozenset(g) for v, g in groups.items()}
-
-
 def singular_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
     """{v in W^P : v <= w, the Nash fiber over v has more than one point}."""
     return frozenset(
-        v for v, g in _fibers_by_projection(d).items() if len(g) > 1
+        v for v, g in nash_fibers(d).items() if len(g) > 1
     )
 
 
@@ -211,7 +194,7 @@ def _sort_elements(els) -> list[WeylElement]:
 
 def nash_report(d: SchubertDatum) -> dict:
     """JSON-ready summary with deterministic ordering."""
-    fibers = _fibers_by_projection(d)
+    fibers = nash_fibers(d)
     rows = []
     for v in _sort_elements(fibers):
         members = fibers[v]

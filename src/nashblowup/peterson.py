@@ -96,9 +96,6 @@ class TranslationGraph:
     nodes: tuple[PetersonState, ...]
     edges: tuple[tuple[PetersonState, Root, PetersonState], ...]
 
-    def out_edges(self, state: PetersonState) -> tuple[tuple[Root, PetersonState], ...]:
-        return tuple((g, t) for s, g, t in self.edges if s == state)
-
     def states_at(self, z: WeylElement) -> tuple[PetersonState, ...]:
         return tuple(s for s in self.nodes if s.z == z)
 
@@ -269,7 +266,6 @@ class Theorem2Report:
     missing: tuple[PetersonState, ...]  # translates never hit by the map
     extra: tuple[PetersonState, ...]  # images that are not eventual translates
     collisions: tuple[tuple[PetersonState, int], ...]  # non-injective images
-    rows: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[Root, ...]], ...]
 
 
 def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
@@ -283,12 +279,6 @@ def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
     collisions = tuple(
         (s, c) for s, c in sorted(images.items(), key=lambda t: _state_sort_key(t[0])) if c > 1
     )
-    rows = []
-    for z in sorted(fixed, key=lambda v: (-v.length, reduced_word(v))):
-        st = theorem2_map(z, d)
-        rows.append(
-            (reduced_word(z), reduced_word(st.z), tuple(sorted(st.weights)))
-        )
     ok = not missing and not extra and not collisions
     return Theorem2Report(
         ok=ok,
@@ -297,7 +287,6 @@ def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
         missing=missing,
         extra=extra,
         collisions=collisions,
-        rows=tuple(rows),
     )
 
 
@@ -374,13 +363,21 @@ def graph_to_json(graph: TranslationGraph) -> dict:
 
 
 def fixed_point_table(d: nashcore.SchubertDatum) -> list[dict]:
-    """Rows (v, v_tilde, N) over all fixed points of the Nash blow-up."""
-    report = verify_theorem2(d)
-    return [
-        {
-            "v": list(v_word),
-            "v_tilde": list(vt_word),
-            "weights": [list(r) for r in weights],
-        }
-        for v_word, vt_word, weights in report.rows
-    ]
+    """Rows (v, v_tilde, N) over all fixed points of the Nash blow-up.
+
+    Each fixed point v is sent through :func:`theorem2_map`; rows run by
+    decreasing length, then reduced word.
+    """
+    rows = []
+    for z in sorted(
+        nashcore.nash_fixed_points(d), key=lambda v: (-v.length, reduced_word(v))
+    ):
+        st = theorem2_map(z, d)
+        rows.append(
+            {
+                "v": list(reduced_word(z)),
+                "v_tilde": list(reduced_word(st.z)),
+                "weights": [list(r) for r in sorted(st.weights)],
+            }
+        )
+    return rows

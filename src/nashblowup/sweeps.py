@@ -16,6 +16,7 @@ library form of the CLI ``verify`` subcommand and of the acceptance tests:
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -28,7 +29,6 @@ from .weyl import (
     format_word,
     interval_min_reps,
     longest_element,
-    min_coset_rep,
     reduced_word,
 )
 
@@ -188,22 +188,17 @@ def _fiberproduct_point_counts(
     cov = zelevinsky.covexillary_datum(grassmann.grassmannian_max_rep(w, k))
 
     graph = peterson.eventual_translates(w_el, p)
-    translate_counts: dict[grassmann.Permutation, int] = {}
-    for state in graph.nodes:
-        key = grassmann.weyl_to_perm(state.z)
-        translate_counts[key] = translate_counts.get(key, 0) + 1
+    translate_counts = Counter(s.z for s in graph.nodes)
+    fibers = nashcore.nash_fibers(datum)
 
     rows = []
-    for v_el in sorted(
-        interval_min_reps(w_el, p), key=lambda z: (z.length, reduced_word(z))
-    ):
+    for v_el in sorted(fibers, key=lambda z: (z.length, reduced_word(z))):
         v = grassmann.weyl_to_perm(v_el)
-        fiber = len(nashcore.nash_fiber(v_el, datum))
         flag = zelevinsky.CoordFlag(
             steps=tuple(tuple(sorted(v[: b.q])) for b in cov.boxes)
         )
         product = zelevinsky.fiberproduct_count(flag, cov)
-        rows.append((v, fiber, product, translate_counts.get(v, 0)))
+        rows.append((v, len(fibers[v_el]), product, translate_counts[v_el]))
     return rows
 
 

@@ -34,6 +34,7 @@ from .grassmann import (
     min_coset_rep_perm,
     perm_to_weyl,
     weyl_to_perm,
+    _blocks,
 )
 from .peterson import eventual_translates
 from .rootsystem import root_system
@@ -93,13 +94,7 @@ def covexillary_datum(w: Permutation) -> CovexillaryDatum:
 
 def min_reps_perm(n: int, levi: frozenset[int]):
     """All minimal coset representatives for W_levi, as one-line tuples."""
-    blocks: list[list[int]] = [[1]]
-    for i in range(2, n + 1):
-        if (i - 1) in levi:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    sizes = [len(b) for b in blocks]
+    sizes = [len(b) for b in _blocks(n, levi)]
 
     def fill(remaining: frozenset[int], idx: int):
         if idx == len(sizes):

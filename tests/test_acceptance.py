@@ -240,14 +240,14 @@ def test_criterion_7_covexillary_conjecture():
 # -- criterion 8: structural invariants -------------------------------------
 
 
-def test_criterion_8a_fibers_partition_fixed_points():
+def test_criterion_8a_fibers_partition_fixed_points(wp_fiber_search):
     bad = []
     for d in sweeps.cominuscule_data(max_rank_a=4, max_rank_bc=3):
-        total = sum(
-            len(nashcore.nash_fiber(v, d))
-            for v in weyl.interval_min_reps(d.w, d.p)
-        )
-        if total != len(nashcore.nash_fixed_points(d)):
+        base = weyl.interval_min_reps(d.w, d.p)
+        total = sum(len(nashcore.nash_fiber(v, d)) for v in base)
+        if total != len(nashcore.nash_fixed_points(d)) or any(
+            nashcore.nash_fiber(v, d) != wp_fiber_search(v, d) for v in base
+        ):
             bad.append(d)
     verdict("criterion 8a: fibers partition the fixed points", not bad)
     assert not bad

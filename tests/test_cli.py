@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nashblowup
+from nashblowup import peterson
 from nashblowup.cli import main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
@@ -199,6 +200,32 @@ def test_usage_errors(capsys):
     # rank missing
     code, _, err = run(capsys, ["types", "--type", "B"])
     assert code == 2
+    # the conjecture check on S_n with n < 2
+    for argv in (
+        ["conjecture", "--n", "0"],
+        ["conjecture", "--n", "1"],
+        ["conjecture", "--perm", "1"],
+        ["verify", "--conjecture-n", "1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_peterson_builds_one_graph(capsys, monkeypatch, fmt):
+    calls = []
+    build_graph = peterson.eventual_translates
+
+    def counted(*args):
+        calls.append(args)
+        return build_graph(*args)
+
+    monkeypatch.setattr(peterson, "eventual_translates", counted)
+    code, _, _ = run(capsys, ["peterson"] + A3_ARGS + ["--format", fmt])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_unknown_subcommand_exits_2():

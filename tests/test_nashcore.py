@@ -48,10 +48,12 @@ class TestA3Golden:
         assert singular_fixed_points(a3_datum) == frozenset({identity(a3)})
         assert not nashcore.is_smooth_point(identity(a3), a3_datum)
 
-    def test_fibers_partition_fixed_points(self, a3, a3_datum):
+    def test_fibers_partition_fixed_points(self, a3, a3_datum, wp_fiber_search):
         total = 0
         for v in weyl.interval_min_reps(a3_datum.w, a3_datum.p):
-            total += len(nash_fiber(v, a3_datum))
+            fiber = nash_fiber(v, a3_datum)
+            assert fiber == wp_fiber_search(v, a3_datum)
+            total += len(fiber)
         assert total == len(nash_fixed_points(a3_datum))
 
     def test_tangent_roots(self, a3_datum):
@@ -112,16 +114,17 @@ def test_delta_keeps_simple_images():
     assert nash_parabolic(d).levi == frozenset({5})
 
 
-def test_full_grassmannian_sweep_b2():
+def test_full_grassmannian_sweep_b2(wp_fiber_search):
     """Every w in B2/P1: fibers partition the fixed points."""
     rs = rootsystem.root_system("B", 2)
     p = parabolic(2)
     w0 = weyl.longest_element(rs)
     for w in weyl.interval_min_reps(w0, p):
         d = SchubertDatum(rs, p, w)
-        count = sum(
-            len(nash_fiber(v, d)) for v in weyl.interval_min_reps(w, p)
-        )
+        base = weyl.interval_min_reps(w, p)
+        for v in base:
+            assert nash_fiber(v, d) == wp_fiber_search(v, d)
+        count = sum(len(nash_fiber(v, d)) for v in base)
         assert count == len(nash_fixed_points(d))
 
 
