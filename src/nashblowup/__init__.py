@@ -32,7 +32,6 @@ from .weyl import (
     interval_min_reps,
     inverse,
     left_inversions,
-    left_inversions_p,
     longest_element,
     lower_interval,
     max_coset_rep,
@@ -42,7 +41,6 @@ from .weyl import (
     reduced_word,
     reflection_from_root,
     simple_reflection,
-    weyl_group,
 )
 
 __version__ = "0.1.0"

@@ -140,6 +140,12 @@ def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
         raise UsageError(str(exc)) from None
 
 
+def _check_jobs(jobs: int) -> None:
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise UsageError(f"--jobs {jobs}: choose 1..{limit} worker processes")
+
+
 def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -187,10 +193,9 @@ def _nash_text(d: nashcore.SchubertDatum, report: dict) -> str:
         "singular fixed points: "
         + (", ".join(singular) if singular else "(none)")
     )
-    data = nashcore.nash_data(d)
     lines.append(
         "tangent roots: "
-        + ", ".join(format_root(b) for b in data.tangent_roots)
+        + ", ".join(format_root(b) for b in nashcore.tangent_roots(d))
     )
     return "\n".join(lines)
 
@@ -320,6 +325,7 @@ def cmd_grassmann(args: argparse.Namespace) -> int:
 def cmd_conjecture(args: argparse.Namespace) -> int:
     if args.perm is None and args.n is None:
         raise UsageError("need --perm or --n")
+    _check_jobs(args.jobs)
     if args.perm is not None:
         w = _parse_perm(args.perm)
         if len(w) < 2:
@@ -369,6 +375,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     if args.conjecture_n and args.conjecture_n < 2:
         raise UsageError(
             f"--conjecture-n {args.conjecture_n}: the sweep needs n >= 2 (0 skips it)"

@@ -18,10 +18,11 @@ maximal representative, the coessential set of the Nash parabolic's maximal
 representative in closed form, and the smoothness verdict for the Nash
 blow-up.
 
->>> coessential_set((2, 5, 7, 1, 3, 4, 6, 8)) == frozenset(
+>>> w = (2, 5, 7, 1, 3, 4, 6, 8)
+>>> coessential_set(grassmannian_max_rep(w, 3)) == frozenset(
 ...     {CoessBox(2, 3, 1), CoessBox(5, 3, 2), CoessBox(7, 3, 3)})
 True
->>> partition_of((2, 5, 7, 1, 3, 4, 6, 8), 3)
+>>> partition_of(w, 3)
 (4, 3, 1)
 """
 
@@ -56,7 +57,6 @@ __all__ = [
     "nash_blowup_smooth",
     "NashConfig",
     "config_description",
-    "bruhat_leq_perm",
 ]
 
 Permutation = tuple[int, ...]
@@ -377,25 +377,3 @@ def config_description(p: Permutation, k: int) -> NashConfig:
         top_degenerate=p[k - 1] < n,
         bottom_degenerate=p[k] > 1,
     )
-
-
-# -- an independent Bruhat test on one-line forms ----------------------------
-
-
-def bruhat_leq_perm(u: Permutation, v: Permutation) -> bool:
-    """Prefix-dominance test: sorted u(1..q) dominated by sorted v(1..q)."""
-    n = check_permutation(u)
-    if check_permutation(v) != n:
-        raise ValueError("length mismatch")
-    for q in range(1, n):
-        us = sorted(u[:q])
-        vs = sorted(v[:q])
-        if any(a > b for a, b in zip(us, vs)):
-            return False
-    return True
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -36,15 +36,14 @@ from .weyl import (
 __all__ = [
     "SchubertDatum",
     "NotCominusculeError",
-    "NashData",
     "delta_w",
+    "tangent_roots",
     "nash_parabolic",
     "nash_fixed_points",
     "nash_fibers",
     "nash_fiber",
     "is_smooth_point",
     "singular_fixed_points",
-    "nash_data",
     "nash_report",
 ]
 
@@ -95,17 +94,6 @@ class SchubertDatum:
         return idx
 
 
-@dataclass(frozen=True)
-class NashData:
-    """Assembled combinatorial payload of one Nash blow-up."""
-
-    delta_w: frozenset[int]
-    q: ParabolicSubset
-    fixed_points: frozenset[WeylElement]
-    tangent_roots: frozenset[Root]  # E = w^{-1}(LInv(w)), inside R^- minus R_L^-
-    tangent_weights: frozenset[Root]  # weights of the tangent space at the base point
-
-
 @lru_cache(maxsize=None)
 def delta_w(d: SchubertDatum) -> frozenset[int]:
     """Levi indices whose simple root stays simple under w."""
@@ -115,6 +103,13 @@ def delta_w(d: SchubertDatum) -> frozenset[int]:
         if rs.is_simple(d.w.column(i)):
             out.append(i)
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def tangent_roots(d: SchubertDatum) -> frozenset[Root]:
+    """E = w^{-1}(LInv(w)), inside R^- minus R_L^-."""
+    winv = inverse(d.w)
+    return frozenset(winv(g) for g in left_inversions(d.w))
 
 
 def nash_parabolic(d: SchubertDatum) -> ParabolicSubset:
@@ -165,26 +160,6 @@ def singular_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
     """{v in W^P : v <= w, the Nash fiber over v has more than one point}."""
     return frozenset(
         v for v, g in nash_fibers(d).items() if len(g) > 1
-    )
-
-
-def nash_data(d: SchubertDatum) -> NashData:
-    rs = d.system
-    linv = left_inversions(d.w)
-    winv = inverse(d.w)
-    tangent_roots = frozenset(winv(g) for g in linv)
-    levi = d.p.levi
-    tangent_weights = frozenset(
-        tuple(-c for c in a)
-        for a in rs.positive_roots
-        if not rs.in_levi(a, levi) and not rs.is_positive(d.w(a))
-    )
-    return NashData(
-        delta_w=delta_w(d),
-        q=nash_parabolic(d),
-        fixed_points=nash_fixed_points(d),
-        tangent_roots=tangent_roots,
-        tangent_weights=tangent_weights,
     )
 
 

@@ -33,7 +33,6 @@ from .weyl import (
     bruhat_leq,
     format_word,
     interval_min_reps,
-    inverse,
     is_min_coset_rep,
     left_inversions,
     min_coset_rep,
@@ -251,8 +250,7 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
         raise ValueError(f"{format_word(reduced_word(z))} is not in W^Q")
     if not bruhat_leq(z, d.w):
         raise ValueError(f"{format_word(reduced_word(z))} is not below w")
-    winv = inverse(d.w)
-    e_set = frozenset(winv(g) for g in left_inversions(d.w))
+    e_set = nashcore.tangent_roots(d)
     return PetersonState(min_coset_rep(z, d.p), frozenset(z(r) for r in e_set))
 
 

@@ -314,9 +314,3 @@ def dynkin_diagram(ct: CartanType) -> str:
     chain = " - ".join(str(i) for i in [1, 3, 4, 5, 6, 7][: n - 1])
     offset = " " * len("1 - 3 - ")
     return f"{offset}2\n{offset}|\n{chain}"
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

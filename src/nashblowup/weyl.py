@@ -19,10 +19,9 @@ always refers to right cosets w W_P.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rootsystem import Root, RootSystem
 
@@ -30,7 +29,6 @@ __all__ = [
     "WeylElement",
     "ParabolicSubset",
     "parabolic",
-    "elements_of_parabolic",
     "identity",
     "simple_reflection",
     "from_word",
@@ -40,7 +38,6 @@ __all__ = [
     "format_word",
     "right_descents",
     "left_inversions",
-    "left_inversions_p",
     "bruhat_leq",
     "lower_interval",
     "interval_min_reps",
@@ -49,7 +46,6 @@ __all__ = [
     "max_coset_rep",
     "reflection_from_root",
     "longest_element",
-    "weyl_group",
 ]
 
 class WeylElement:
@@ -220,25 +216,6 @@ def left_inversions(w: WeylElement) -> frozenset[Root]:
     return frozenset(rs.roots[j] for j in w.perm[n:] if j < n)
 
 
-@lru_cache(maxsize=None)
-def left_inversions_p(w: WeylElement, p: ParabolicSubset) -> frozenset[Root]:
-    """LInv^P(w) = w(R^- minus R_L^-) intersected with R^+.
-
-    Constant on cosets w W_P, and equal to left_inversions(w) exactly when w
-    is the minimal coset representative.
-    """
-    rs = w.system
-    _check_levi(rs, p)
-    out = []
-    for b in rs.negative_roots:
-        if rs.in_levi(b, p.levi):
-            continue
-        g = w(b)
-        if rs.is_positive(g):
-            out.append(g)
-    return frozenset(out)
-
-
 def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
     _check_levi(w.system, p)
     return not (right_descents(w) & p.levi)
@@ -337,36 +314,3 @@ def longest_element(system: RootSystem) -> WeylElement:
     return max_coset_rep(
         identity(system), ParabolicSubset(frozenset(range(1, system.rank + 1)))
     )
-
-
-def weyl_group(system: RootSystem) -> frozenset[WeylElement]:
-    """The whole group, by breadth-first closure over right multiplication."""
-    e = identity(system)
-    seen: set[WeylElement] = {e}
-    queue: deque[WeylElement] = deque([e])
-    while queue:
-        w = queue.popleft()
-        for i in range(1, system.rank + 1):
-            nxt = _right_mult(w, i)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
-
-
-def elements_of_parabolic(
-    system: RootSystem, p: ParabolicSubset
-) -> Iterator[WeylElement]:
-    """All elements of W_P, by closure over the Levi generators."""
-    _check_levi(system, p)
-    e = identity(system)
-    seen: set[WeylElement] = {e}
-    queue: deque[WeylElement] = deque([e])
-    while queue:
-        w = queue.popleft()
-        yield w
-        for i in p.levi:
-            nxt = _right_mult(w, i)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)

@@ -26,7 +26,6 @@ from itertools import combinations
 from .grassmann import (
     CoessBox,
     Permutation,
-    bruhat_leq_perm,
     check_permutation,
     coessential_set,
     descent_set,
@@ -34,17 +33,15 @@ from .grassmann import (
     min_coset_rep_perm,
     perm_to_weyl,
     weyl_to_perm,
-    _blocks,
 )
 from .peterson import eventual_translates
 from .rootsystem import root_system
-from .weyl import ParabolicSubset
+from .weyl import ParabolicSubset, interval_min_reps
 
 __all__ = [
     "CovexillaryDatum",
     "CoordFlag",
     "covexillary_datum",
-    "min_reps_perm",
     "schubert_fixed_points",
     "z_fiber_count",
     "zdual_fiber_count",
@@ -92,28 +89,19 @@ def covexillary_datum(w: Permutation) -> CovexillaryDatum:
     return CovexillaryDatum(w=w, n=n, levi=levi, boxes=boxes)
 
 
-def min_reps_perm(n: int, levi: frozenset[int]):
-    """All minimal coset representatives for W_levi, as one-line tuples."""
-    sizes = [len(b) for b in _blocks(n, levi)]
-
-    def fill(remaining: frozenset[int], idx: int):
-        if idx == len(sizes):
-            yield ()
-            return
-        for vals in combinations(sorted(remaining), sizes[idx]):
-            for rest in fill(remaining - set(vals), idx + 1):
-                yield vals + rest
-
-    yield from fill(frozenset(range(1, n + 1)), 0)
-
-
 def schubert_fixed_points(d: CovexillaryDatum) -> list[tuple[Permutation, CoordFlag]]:
-    """(v, flag of v) for every torus-fixed point of X_w^P, v in W^P, v <= w."""
+    """(v, flag of v) for every torus-fixed point of X_w^P, v in W^P, v <= w.
+
+    The points are the ideal walked by :func:`weyl.interval_min_reps` below
+    the minimal representative of w W_P, read back as one-line tuples.
+    """
+    rs = root_system("A", d.n - 1)
+    seed = perm_to_weyl(rs, min_coset_rep_perm(d.w, d.levi))
     out = []
-    for v in min_reps_perm(d.n, d.levi):
-        if bruhat_leq_perm(v, d.w):
-            steps = tuple(tuple(sorted(v[: b.q])) for b in d.boxes)
-            out.append((v, CoordFlag(steps=steps)))
+    for z in interval_min_reps(seed, ParabolicSubset(d.levi)):
+        v = weyl_to_perm(z)
+        steps = tuple(tuple(sorted(v[: b.q])) for b in d.boxes)
+        out.append((v, CoordFlag(steps=steps)))
     out.sort(key=lambda t: t[0])
     flags = [f for _, f in out]
     if len(set(flags)) != len(flags):

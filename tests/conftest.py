@@ -7,12 +7,18 @@ over the identity, and a translation graph with a branch point.
 
 ``wp_fiber_search`` is a second route to a Nash fiber, kept here as an
 oracle for ``nashcore.nash_fiber``: it never projects W^Q onto W^P.
+``weyl_group``, ``min_reps_perm`` and ``bruhat_leq_perm`` list whole groups
+or quotients and filter them, the brute-force routes that the W^P walk
+``weyl.interval_min_reps`` is checked against.
 """
 
 from collections import deque
 
 import pytest
 
+from itertools import combinations
+
+from nashblowup import grassmann
 from nashblowup import nashcore
 from nashblowup import rootsystem
 from nashblowup import weyl
@@ -49,6 +55,73 @@ def _wp_fiber_search(v, d):
 @pytest.fixture(scope="session")
 def wp_fiber_search():
     return _wp_fiber_search
+
+
+def _weyl_group(system):
+    """The whole group, by breadth-first closure over right multiplication."""
+    e = identity(system)
+    seen: set[WeylElement] = {e}
+    queue: deque[WeylElement] = deque([e])
+    while queue:
+        w = queue.popleft()
+        for i in range(1, system.rank + 1):
+            nxt = _right_mult(w, i)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+def _min_reps_perm(n, levi):
+    """All minimal coset representatives for W_levi, as one-line tuples.
+
+    They are the permutations increasing on each block of consecutive
+    positions glued by the levi (i in levi joins positions i and i+1).
+    """
+    sizes = [1]
+    for i in range(1, n):
+        if i in levi:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+
+    def fill(remaining, idx):
+        if idx == len(sizes):
+            yield ()
+            return
+        for vals in combinations(sorted(remaining), sizes[idx]):
+            for rest in fill(remaining - set(vals), idx + 1):
+                yield vals + rest
+
+    yield from fill(frozenset(range(1, n + 1)), 0)
+
+
+def _bruhat_leq_perm(u, v):
+    """Prefix-dominance test: sorted u(1..q) dominated by sorted v(1..q)."""
+    n = grassmann.check_permutation(u)
+    if grassmann.check_permutation(v) != n:
+        raise ValueError("length mismatch")
+    for q in range(1, n):
+        us = sorted(u[:q])
+        vs = sorted(v[:q])
+        if any(a > b for a, b in zip(us, vs)):
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def weyl_group():
+    return _weyl_group
+
+
+@pytest.fixture(scope="session")
+def min_reps_perm():
+    return _min_reps_perm
+
+
+@pytest.fixture(scope="session")
+def bruhat_leq_perm():
+    return _bruhat_leq_perm
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nashblowup
-from nashblowup import peterson
+from nashblowup import peterson, sweeps
 from nashblowup.cli import main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
@@ -170,8 +170,9 @@ def test_verify_json(capsys):
 def test_types_catalog(capsys):
     code, out, _ = run(capsys, ["types"])
     assert code == 0
-    assert "cominuscule nodes" in out
-    assert "E7" not in out or True  # catalog text varies; just needs to print
+    # A3, B3, C3, D4, E6 and E7, the last with the one cominuscule node 7
+    assert out.count("cominuscule nodes: ") == 6
+    assert "cominuscule nodes: [7]\nhighest root: 2a1+2a2+3a3+4a4+3a5+2a6+a7" in out
 
 
 def test_types_single(capsys):
@@ -180,7 +181,11 @@ def test_types_single(capsys):
     assert "cominuscule nodes: [1]" in out
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
     # malformed permutation
     code, _, err = run(capsys, ["nash", "--perm", "1123", "--k", "1"])
     assert code == 2
@@ -206,6 +211,11 @@ def test_usage_errors(capsys):
         ["conjecture", "--n", "1"],
         ["conjecture", "--perm", "1"],
         ["verify", "--conjecture-n", "1"],
+        # --jobs outside 1..cpu_count, refused before any sweep work
+        ["conjecture", "--n", "6", "--jobs", "0"],
+        ["conjecture", "--n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
+        ["verify", "--conjecture-n", "6", "--jobs", "0"],
+        ["verify", "--conjecture-n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2

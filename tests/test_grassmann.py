@@ -5,6 +5,7 @@ is (4,3,1).  All constants below were computed by hand from the rank
 definitions and cross-checked against the Weyl-group model.
 """
 
+import doctest
 import itertools
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from nashblowup import grassmann, rootsystem, weyl
 from nashblowup.grassmann import (
     CoessBox,
-    bruhat_leq_perm,
     check_permutation,
     coess_nash_formula,
     coessential_set,
@@ -206,7 +206,7 @@ def test_smoothness_routes_agree_exhaustive():
     assert nash_blowup_smooth((2, 4, 1, 3), 2)
 
 
-def test_bruhat_perm_matches_weyl():
+def test_bruhat_perm_matches_weyl(bruhat_leq_perm):
     rs = rootsystem.root_system("A", 3)
     perms = list(itertools.permutations((1, 2, 3, 4)))
     els = {p: perm_to_weyl(rs, p) for p in perms}
@@ -234,3 +234,10 @@ def test_coessbox_validation():
         CoessBox(0, 1, 0)
     with pytest.raises(ValueError):
         CoessBox(2, 2, 3)  # rank exceeds both sides
+
+
+def test_module_doctests():
+    for module in (grassmann, rootsystem):
+        result = doctest.testmod(module)
+        assert result.failed == 0, module.__name__
+        assert result.attempted > 0, module.__name__

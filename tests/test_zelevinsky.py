@@ -20,7 +20,6 @@ from nashblowup.zelevinsky import (
     conjecture_check,
     covexillary_datum,
     fiberproduct_count,
-    min_reps_perm,
     schubert_fixed_points,
     z_fiber_count,
     zdual_fiber_count,
@@ -226,11 +225,31 @@ def test_longest_element_datum():
     assert zdual_fiber_count(pts[0][1], d) == 1
 
 
-def test_min_reps_perm_count():
+def test_min_reps_perm_count(min_reps_perm):
     reps = list(min_reps_perm(4, frozenset({2})))
     assert len(reps) == 12
     assert len(set(reps)) == 12
     assert all(r[1] < r[2] for r in reps)  # sorted inside the {2,3} block
+
+
+@pytest.mark.parametrize("n,count", [(4, 23), (5, 103), (6, 513)])
+def test_fixed_points_match_quotient_filter(n, count, min_reps_perm, bruhat_leq_perm):
+    """The W^P walk against listing all of W^P in one-line form and keeping
+    the v below w, on every covexillary w of S_n."""
+    perms = [
+        w
+        for w in itertools.permutations(range(1, n + 1))
+        if not contains_pattern(w, (3, 4, 1, 2))
+    ]
+    assert len(perms) == count
+    for w in perms:
+        d = covexillary_datum(w)
+        expected = [
+            (v, CoordFlag(steps=tuple(tuple(sorted(v[: b.q])) for b in d.boxes)))
+            for v in sorted(min_reps_perm(n, d.levi))
+            if bruhat_leq_perm(v, w)
+        ]
+        assert schubert_fixed_points(d) == expected, w
 
 
 def test_fixed_point_counts():
