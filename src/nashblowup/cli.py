@@ -47,6 +47,7 @@ from .weyl import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+MAX_SWEEP_N = 8  # the covexillary sweep walks all n! permutations of S_n
 
 
 class UsageError(Exception):
@@ -138,6 +139,11 @@ def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
         return nashcore.SchubertDatum(system=rs, p=p, w=w)
     except (ValueError, nashcore.NotCominusculeError) as exc:
         raise UsageError(str(exc)) from None
+
+
+def _check_sweep_n(flag: str, n: int) -> None:
+    if not 2 <= n <= MAX_SWEEP_N:
+        raise UsageError(f"{flag} {n}: the sweep needs 2 <= n <= {MAX_SWEEP_N}")
 
 
 def _check_jobs(jobs: int) -> None:
@@ -352,8 +358,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             _emit("\n".join(lines), args)
         return 0 if report.ok else CHECK_FAILED
 
-    if args.n < 2:
-        raise UsageError(f"--n {args.n}: the sweep needs n >= 2")
+    _check_sweep_n("--n", args.n)
     outcome = sweeps.conjecture_sweep(args.n, jobs=args.jobs)
     if args.format == "json":
         _emit(
@@ -376,10 +381,8 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
-    if args.conjecture_n and args.conjecture_n < 2:
-        raise UsageError(
-            f"--conjecture-n {args.conjecture_n}: the sweep needs n >= 2 (0 skips it)"
-        )
+    if args.conjecture_n:  # 0 skips the sweep
+        _check_sweep_n("--conjecture-n", args.conjecture_n)
     outcomes = []
     if not args.skip_translates:
         outcomes.append(
@@ -501,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = subs.add_parser("conjecture", help="fiber-product count check")
     p_conj.add_argument("--perm", help="one covexillary permutation")
-    p_conj.add_argument("--n", type=int, help="sweep all covexillary in S_n")
+    p_conj.add_argument(
+        "--n", type=int, help=f"sweep all covexillary in S_n, 2..{MAX_SWEEP_N}"
+    )
     p_conj.add_argument("--jobs", type=int, default=1)
     p_conj.add_argument("--format", choices=("text", "json"), default="text")
     p_conj.add_argument("--output")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsystem import RootSystem
+from .rootsystem import InvariantViolation, RootSystem
 from .weyl import WeylElement, from_word
 
 __all__ = [
@@ -366,7 +366,8 @@ def config_description(p: Permutation, k: int) -> NashConfig:
         raise ValueError(f"{p} is not Grassmannian with descent at {k}")
     vp = grassmannian_max_rep(p, k)
     cols = sorted(coessential_set(vp), key=lambda b: b.r)
-    assert all(b.q == k for b in cols)
+    if any(b.q != k for b in cols):
+        raise InvariantViolation(f"coessential box of {vp} off column {k}")
     conditions = tuple((b.r, b.p, k + b.p - b.r) for b in cols)
     steps = sorted({k} | {c[0] for c in conditions} | {c[2] for c in conditions})
     return NashConfig(

@@ -42,7 +42,6 @@ __all__ = [
     "nash_fixed_points",
     "nash_fibers",
     "nash_fiber",
-    "is_smooth_point",
     "singular_fixed_points",
     "nash_report",
 ]
@@ -149,11 +148,6 @@ def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:
             f"{format_word(reduced_word(v))} is not a fixed point of the variety"
         )
     return nash_fibers(d)[v]
-
-
-def is_smooth_point(v: WeylElement, d: SchubertDatum) -> bool:
-    """The blow-down is an isomorphism over v iff the fiber is a single point."""
-    return len(nash_fiber(v, d)) == 1
 
 
 def singular_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:

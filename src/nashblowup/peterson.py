@@ -2,15 +2,17 @@
 
 A state is a pair (z, M) with z a minimal coset representative and M a set
 of weights inside the ambient set z(R^- minus R_L^-).  Translating along a
-left inversion gamma of z shifts every gamma-string of M as far towards its
-gamma-minimal element as possible, applies r_gamma, and projects z back to
-W^P:
+left inversion gamma of z packs every gamma-string of M towards its
+gamma-minimal element (sigma), applies r_gamma, and projects z back to W^P:
 
     tau_gamma(z, M) = (min rep of r_gamma z,  r_gamma(sigma_gamma(M))).
 
-Iterating from (w, LInv(w)) until no further translation applies produces
-the translation graph whose sinks are eventual translates.  For cominuscule
-P every string is a singleton, so sigma is the identity and the states
+Root strings are unbroken, so the gamma-strings of a root system are
+tabulated once per (system, gamma), bottom first, and sigma takes the first
+c roots of a string from its lowest ambient member.  Iterating from
+(w, LInv(w)) until no further translation applies produces the translation
+graph whose sinks are eventual translates.  For cominuscule P every string
+meets the ambient set at most once, so sigma is the identity and the states
 biject with the fixed points of the Nash blow-up; the map witnessing the
 bijection is :func:`theorem2_map` and the check is :func:`verify_theorem2`.
 
@@ -46,8 +48,6 @@ __all__ = [
     "PetersonState",
     "TranslationGraph",
     "ambient_weights",
-    "alpha_strings",
-    "alpha_minimal",
     "sigma_shift",
     "tau",
     "eventual_translates",
@@ -95,9 +95,6 @@ class TranslationGraph:
     nodes: tuple[PetersonState, ...]
     edges: tuple[tuple[PetersonState, Root, PetersonState], ...]
 
-    def states_at(self, z: WeylElement) -> tuple[PetersonState, ...]:
-        return tuple(s for s in self.nodes if s.z == z)
-
 
 @lru_cache(maxsize=None)
 def ambient_weights(z: WeylElement, p: ParabolicSubset) -> frozenset[Root]:
@@ -109,55 +106,36 @@ def ambient_weights(z: WeylElement, p: ParabolicSubset) -> frozenset[Root]:
     )
 
 
-def _string_key(beta: Root, alpha: Root) -> tuple:
-    """Equal keys iff the two roots differ by an integer multiple of alpha."""
-    j = next(i for i, c in enumerate(alpha) if c != 0)
-    cross = tuple(beta[i] * alpha[j] - beta[j] * alpha[i] for i in range(len(alpha)))
-    return (beta[j] % alpha[j], cross)
-
-
 @lru_cache(maxsize=None)
-def _string_ids(system: RootSystem, alpha: Root) -> dict[Root, int]:
-    """{root: id of its alpha-string}, one table per (system, alpha)."""
-    if not system.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root")
-    ids: dict[tuple, int] = {}
-    return {b: ids.setdefault(_string_key(b, alpha), len(ids)) for b in system.roots}
+def _gamma_strings(
+    system: RootSystem, gamma: Root
+) -> tuple[dict[Root, int], tuple[tuple[Root, ...], ...]]:
+    """({root: id of its gamma-string}, strings), one table per (system, gamma).
 
-
-def alpha_strings(
-    z: WeylElement, p: ParabolicSubset, alpha: Root
-) -> tuple[frozenset[Root], ...]:
-    """Partition of the ambient set into strings modulo Z alpha.
-
-    Blocks are returned sorted by their minimal element, for determinism.
+    Root strings are unbroken: each string is walked along beta + gamma
+    through ``system.index`` from its one root with no predecessor, and lists
+    roots of ``system.roots`` bottom first.  gamma and -gamma lie in different
+    strings, since 0 is not a root; no ambient set contains both.
     """
-    if not z.system.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root")
-    blocks: dict[tuple, set[Root]] = {}
-    for beta in ambient_weights(z, p):
-        blocks.setdefault(_string_key(beta, alpha), set()).add(beta)
-    return tuple(
-        frozenset(b) for b in sorted(blocks.values(), key=lambda b: min(b))
-    )
-
-
-def alpha_minimal(block: frozenset[Root], alpha: Root, ambient: frozenset[Root]) -> Root:
-    """The unique mu in the block with mu - alpha outside the ambient set.
-
-    Uniqueness is a structural fact about the ambient sets arising here; it
-    is re-verified on every call and a violation is fatal.
-    """
-    mins = [
-        mu
-        for mu in block
-        if tuple(m - a for m, a in zip(mu, alpha)) not in ambient
-    ]
-    if len(mins) != 1:
-        raise InvariantViolation(
-            f"alpha-minimal element not unique in {sorted(block)} along {alpha}"
-        )
-    return mins[0]
+    if not system.is_root(gamma):
+        raise ValueError(f"{gamma} is not a root")
+    index, roots = system.index, system.roots
+    up: dict[Root, Root] = {}
+    for beta in roots:
+        if (nxt := tuple(b + g for b, g in zip(beta, gamma))) in index:
+            up[beta] = roots[index[nxt]]
+    above = set(up.values())
+    ids: dict[Root, int] = {}
+    strings: list[tuple[Root, ...]] = []
+    for beta in roots:
+        if beta in above:
+            continue  # not the bottom of its string
+        string = [beta]
+        while string[-1] in up:
+            string.append(up[string[-1]])
+        ids.update((b, len(strings)) for b in string)
+        strings.append(tuple(string))
+    return ids, tuple(strings)
 
 
 def sigma_shift(
@@ -165,25 +143,29 @@ def sigma_shift(
 ) -> frozenset[Root]:
     """Pack each alpha-string of M into the positions nearest its minimal element.
 
-    A block of c elements becomes {mu, mu + alpha, ..., mu + (c-1) alpha};
-    in particular full blocks and singleton blocks are left unchanged, and
-    for cominuscule ambients (all strings singletons) sigma is the identity.
+    The minimal element mu of a string is its ambient member with mu - alpha
+    outside the ambient set; it must be unique, and this is re-verified on
+    every call.  c weights of M on the string become
+    {mu, mu + alpha, ..., mu + (c-1) alpha}, so full blocks and singleton
+    blocks are left unchanged.
     """
     ambient = ambient_weights(z, p)
     if not m <= ambient:
         raise ValueError("weight set must live inside the ambient set of z")
-    ids = _string_ids(z.system, alpha)
+    ids, strings = _gamma_strings(z.system, alpha)
     if len({ids[beta] for beta in ambient}) == len(ambient):
         # all strings are singletons {mu}, with mu - alpha outside the ambient set
         return m
-    out: set[Root] = set()
-    for block in alpha_strings(z, p, alpha):
-        c = len(block & m)
-        if c == 0:
-            continue
-        mu = alpha_minimal(block, alpha, ambient)
-        for k in range(c):
-            out.add(tuple(x + k * a for x, a in zip(mu, alpha)))
+    out: list[Root] = []
+    for sid, c in Counter(ids[beta] for beta in m).items():
+        string = strings[sid]
+        inside = [beta in ambient for beta in string]
+        bottoms = [i for i, x in enumerate(inside) if x and not (i and inside[i - 1])]
+        if len(bottoms) != 1:
+            raise InvariantViolation(
+                f"alpha-minimal element not unique in {list(string)} along {alpha}"
+            )
+        out += string[bottoms[0] : bottoms[0] + c]
     if len(out) != len(m):
         raise InvariantViolation("sigma changed the cardinality of the weight set")
     return frozenset(out)

@@ -211,12 +211,6 @@ class RootSystem:
     def is_root(self, v: Root) -> bool:
         return v in self._all_set
 
-    def is_positive(self, v: Root) -> bool:
-        return v in self._pos_set
-
-    def is_negative(self, v: Root) -> bool:
-        return tuple(-c for c in v) in self._pos_set
-
     def simple_root(self, i: int) -> Root:
         """The simple root alpha_i, 1-based."""
         if not 1 <= i <= self.rank:

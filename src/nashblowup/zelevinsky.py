@@ -20,6 +20,7 @@ representative of w W_P sitting at that point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -257,10 +258,9 @@ def conjecture_check(w: Permutation) -> ConjectureReport:
     graph = eventual_translates(
         perm_to_weyl(rs, seed), ParabolicSubset(d.levi)
     )
-    per_point: dict[Permutation, int] = {}
-    for state in graph.nodes:
-        key = weyl_to_perm(state.z)
-        per_point[key] = per_point.get(key, 0) + 1
+    per_point = {
+        weyl_to_perm(z): c for z, c in Counter(s.z for s in graph.nodes).items()
+    }
     points = []
     for v, flag in schubert_fixed_points(d):
         zc = z_fiber_count(flag, d)

@@ -185,7 +185,11 @@ def test_usage_errors(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a permutation sweep was started")
+
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sweeps, "covexillary_perms", no_sweep)
     # malformed permutation
     code, _, err = run(capsys, ["nash", "--perm", "1123", "--k", "1"])
     assert code == 2
@@ -211,6 +215,9 @@ def test_usage_errors(capsys, monkeypatch):
         ["conjecture", "--n", "1"],
         ["conjecture", "--perm", "1"],
         ["verify", "--conjecture-n", "1"],
+        # S_n above n = 8, refused before its n! permutations are walked
+        ["conjecture", "--n", "9"],
+        ["verify", "--conjecture-n", "9"],
         # --jobs outside 1..cpu_count, refused before any sweep work
         ["conjecture", "--n", "6", "--jobs", "0"],
         ["conjecture", "--n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],

@@ -34,6 +34,8 @@ from nashblowup.grassmann import (
     rank_number,
     weyl_to_perm,
 )
+from nashblowup.cli import main
+from nashblowup.rootsystem import InvariantViolation
 
 W_EX = (2, 5, 7, 1, 3, 4, 6, 8)
 K_EX = 3
@@ -180,6 +182,17 @@ def test_config_description_golden():
 def test_config_description_rejects_identity():
     with pytest.raises(ValueError):
         config_description((1, 2, 3, 4), 2)
+
+
+def test_config_description_rejects_a_box_off_column_k(monkeypatch, capsys):
+    # every coessential box of the maximal representative sits in column k;
+    # a box elsewhere is a broken invariant, also under python -O
+    off = frozenset({CoessBox(2, K_EX + 1, 1)})
+    monkeypatch.setattr(grassmann, "coessential_set", lambda p: off)
+    with pytest.raises(InvariantViolation):
+        config_description(W_EX, K_EX)
+    assert main(["grassmann", "--perm", "25713468", "--k", "3"]) == 1
+    assert capsys.readouterr().err.startswith("invariant violated:")
 
 
 def test_nash_blowup_smooth_cases():

@@ -4,13 +4,13 @@ The A3 graph below is fully frozen: eight states, eight edges, checked
 by hand.  Weight sets are written in simple-root coordinates.
 """
 
+from collections import Counter
+
 import pytest
 
 from nashblowup import grassmann, nashcore, peterson, rootsystem, weyl, zelevinsky
 from nashblowup.peterson import (
     PetersonState,
-    alpha_minimal,
-    alpha_strings,
     ambient_weights,
     ck_singular_points,
     eventual_translates,
@@ -86,7 +86,7 @@ class TestA3Graph:
         assert a3_graph.root.weights == left_inversions(a3_w)
 
     def test_four_states_over_identity(self, a3, a3_graph):
-        assert len(a3_graph.states_at(identity(a3))) == 4
+        assert Counter(s.z for s in a3_graph.nodes)[identity(a3)] == 4
 
     def test_deterministic_rerun(self, a3_w, a3_parabolic, a3_graph):
         again = eventual_translates(a3_w, a3_parabolic)
@@ -112,6 +112,45 @@ def test_ambient_weights_invariant_on_coset(a3, a3_parabolic):
     assert ambient_weights(z, a3_parabolic) == ambient_weights(
         z_other, a3_parabolic
     )
+
+
+# -- the string-key packing, an independent oracle for sigma_shift -------------
+
+
+def _string_key(beta, alpha):
+    """Equal keys iff the two roots differ by an integer multiple of alpha."""
+    j = next(i for i, c in enumerate(alpha) if c != 0)
+    cross = tuple(beta[i] * alpha[j] - beta[j] * alpha[i] for i in range(len(alpha)))
+    return (beta[j] % alpha[j], cross)
+
+
+def alpha_strings(z, p, alpha):
+    """Partition of the ambient set into strings modulo Z alpha.
+
+    Unlike the true root strings this puts alpha and -alpha in one class;
+    no ambient set contains both, so the blocks agree with sigma_shift's.
+    Blocks are returned sorted by their minimal element, for determinism.
+    """
+    if not z.system.is_root(alpha):
+        raise ValueError(f"{alpha} is not a root")
+    blocks = {}
+    for beta in ambient_weights(z, p):
+        blocks.setdefault(_string_key(beta, alpha), set()).add(beta)
+    return tuple(frozenset(b) for b in sorted(blocks.values(), key=min))
+
+
+def alpha_minimal(block, alpha, ambient):
+    """The unique mu in the block with mu - alpha outside the ambient set."""
+    mins = [
+        mu
+        for mu in block
+        if tuple(m - a for m, a in zip(mu, alpha)) not in ambient
+    ]
+    if len(mins) != 1:
+        raise InvariantViolation(
+            f"alpha-minimal element not unique in {sorted(block)} along {alpha}"
+        )
+    return mins[0]
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +245,16 @@ def test_alpha_minimal_requires_unique_bottom():
     ambient = frozenset({(1, 0, 0), (0, 0, 1)})
     with pytest.raises(InvariantViolation):
         alpha_minimal(block, (0, 1, 0), ambient)
+
+
+def test_sigma_shift_rejects_a_gapped_block(monkeypatch):
+    # the two ends of the alpha3-string a2, a2+a3, a2+2a3 of B3, without its
+    # middle: both ends look minimal, so the string structure is broken
+    rs = rootsystem.root_system("B", 3)
+    gapped = frozenset({(0, 1, 0), (0, 1, 2)})
+    monkeypatch.setattr(peterson, "ambient_weights", lambda z, p: gapped)
+    with pytest.raises(InvariantViolation):
+        sigma_shift(identity(rs), parabolic(), frozenset({(0, 1, 2)}), (0, 0, 1))
 
 
 def test_theorem2_map_golden(a3, a3_datum, a3_w):
@@ -328,9 +377,10 @@ def _packed(z, p, m, gamma):
     return frozenset(out)
 
 
-def _top_cell(family, rank, node):
+def _top_cell(family, rank, *nodes):
+    # the longest minimal representative, for the levi without the given nodes
     rs = rootsystem.root_system(family, rank)
-    p = ParabolicSubset(frozenset(range(1, rank + 1)) - {node})
+    p = ParabolicSubset(frozenset(range(1, rank + 1)) - set(nodes))
     return weyl.min_coset_rep(weyl.longest_element(rs), p), p
 
 
@@ -343,10 +393,19 @@ def _covexillary_seed(w):
     return grassmann.perm_to_weyl(rs, seed), ParabolicSubset(d.levi)
 
 
+def _full_flag(family, word):
+    rs = rootsystem.root_system(family, 3)
+    return from_word(rs, word), parabolic()
+
+
 SIGMA_GRAPHS = {
     "E6/P1 top cell": lambda: _top_cell("E", 6, 1),
     "D5/P1 top cell": lambda: _top_cell("D", 5, 1),
     "(5,2,3,4,1)": lambda: _covexillary_seed((5, 2, 3, 4, 1)),
+    "B3 full flag top cell": lambda: _top_cell("B", 3, 1, 2, 3),
+    "C3 full flag top cell": lambda: _top_cell("C", 3, 1, 2, 3),
+    "B3 full flag s3s1s2s3s2": lambda: _full_flag("B", [3, 1, 2, 3, 2]),
+    "C3 full flag s2s3s1s2s3s2s1": lambda: _full_flag("C", [2, 3, 1, 2, 3, 2, 1]),
 }
 
 
@@ -355,15 +414,22 @@ def test_sigma_shift_matches_packing_on_every_edge(name):
     w, p = SIGMA_GRAPHS[name]()
     graph = eventual_translates(w, p)
     nontrivial = 0
+    three_fill = Counter()  # how many weights of M each block of three holds
     for state, gamma, target in graph.edges:
         z = state.z
         blocks = alpha_strings(z, p, gamma)
         nontrivial += any(len(b) > 1 for b in blocks)
+        three_fill.update(len(b & state.weights) for b in blocks if len(b) == 3)
         expected = _packed(z, p, state.weights, gamma)
         assert sigma_shift(z, p, state.weights, gamma) == expected
         refl = weyl.reflection_from_root(z.system, gamma)
         assert target.weights == frozenset(refl(r) for r in expected)
-    if name == "(5,2,3,4,1)":
+    if "full flag top cell" in name:
+        # M is the whole ambient set here, so blocks of three meet it in full
+        assert three_fill[3] > 0
+    elif "full flag" in name:
+        assert three_fill[1] + three_fill[2] > 0  # a block of three packed in part
+    elif name == "(5,2,3,4,1)":
         assert nontrivial > 0  # the packing itself runs here
     else:
         assert nontrivial == 0  # cominuscule: every string is a singleton
