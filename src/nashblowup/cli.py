@@ -48,6 +48,14 @@ from .weyl import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_SWEEP_N = 8  # the covexillary sweep walks all n! permutations of S_n
+# the largest verify ranges; at each, one sweep takes under a minute on a
+# 2-vCPU Xeon, and one step further multiplies its time by 5 to 10
+VERIFY_LIMITS = {
+    "--max-rank-a": 8,
+    "--max-rank-bc": 7,
+    "--max-n-coess": 16,
+    "--max-n-fibers": 9,
+}
 
 
 class UsageError(Exception):
@@ -381,6 +389,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
+    for flag, limit in VERIFY_LIMITS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value > limit:
+            raise UsageError(f"{flag} {value}: the sweep allows at most {limit}")
     if args.conjecture_n:  # 0 skips the sweep
         _check_sweep_n("--conjecture-n", args.conjecture_n)
     outcomes = []
@@ -513,11 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_ver = subs.add_parser("verify", help="small-rank verification sweeps")
-    p_ver.add_argument("--max-rank-a", type=int, default=5)
-    p_ver.add_argument("--max-rank-bc", type=int, default=3)
+    for flag, default, what in (
+        ("--max-rank-a", 5, "largest rank of type A"),
+        ("--max-rank-bc", 3, "largest rank of types B and C"),
+        ("--max-n-coess", 8, "largest n of the coessential sweep"),
+        ("--max-n-fibers", 7, "largest n of the fiber-product sweep"),
+    ):
+        help_text = f"{what}, at most {VERIFY_LIMITS[flag]}"
+        p_ver.add_argument(flag, type=int, default=default, help=help_text)
     p_ver.add_argument("--skip-d4", action="store_true")
-    p_ver.add_argument("--max-n-coess", type=int, default=8)
-    p_ver.add_argument("--max-n-fibers", type=int, default=7)
     p_ver.add_argument("--conjecture-n", type=int, default=0)
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--skip-translates", action="store_true")

@@ -29,9 +29,10 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rootsystem import InvariantViolation, RootSystem
-from .weyl import WeylElement, from_word
+from .weyl import WeylElement, from_word, _simple_indices
 
 __all__ = [
     "Permutation",
@@ -135,32 +136,42 @@ def perm_to_weyl(system: RootSystem, p: Permutation) -> WeylElement:
     return from_word(system, reversed(stripped))
 
 
-def weyl_to_perm(w: WeylElement) -> Permutation:
-    """Decode the one-line form from the action on the simple roots."""
-    if w.system.cartan_type.family != "A":
-        raise ValueError("only type A elements correspond to permutations")
-    n = w.system.rank + 1
-    out = [0] * (n + 1)
-    for i in range(1, n):
-        col = w.column(i)
-        # e-basis coefficients of w(alpha_i) = e_{w(i)} - e_{w(i+1)}
+@lru_cache(maxsize=None)
+def _e_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
+    """(a, b) with ``system.roots[k] = e_a - e_b``, per root index k of A_n."""
+    pairs = []
+    for root in system.roots:
+        # e-basis coefficients of sum_j c_j alpha_j are c_j - c_{j-1}
         prev = 0
         plus = minus = 0
-        for j, c in enumerate(list(col) + [0], start=1):
+        for j, c in enumerate(root + (0,), start=1):
             d = c - prev
             if d == 1:
                 plus = j
             elif d == -1:
                 minus = j
             prev = c
-        if i == 1:
-            out[1] = plus
-        elif out[i] != plus:
+        pairs.append((plus, minus))
+    return tuple(pairs)
+
+
+def weyl_to_perm(w: WeylElement) -> Permutation:
+    """Read the one-line form off w(alpha_i) = e_{w(i)} - e_{w(i+1)}."""
+    rs = w.system
+    if rs.cartan_type.family != "A":
+        raise ValueError("only type A elements correspond to permutations")
+    pairs, perm = _e_pairs(rs), w.perm
+    out: list[int] = []
+    for k in _simple_indices(rs):
+        a, b = pairs[perm[k]]
+        if not out:
+            out.append(a)
+        elif out[-1] != a:
             raise ValueError("inconsistent action matrix for a permutation")
-        out[i + 1] = minus
-    perm = tuple(out[1:])
-    check_permutation(perm)
-    return perm
+        out.append(b)
+    one_line = tuple(out)
+    check_permutation(one_line)
+    return one_line
 
 
 # -- coessential data --------------------------------------------------------

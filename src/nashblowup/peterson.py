@@ -7,9 +7,16 @@ gamma-minimal element (sigma), applies r_gamma, and projects z back to W^P:
 
     tau_gamma(z, M) = (min rep of r_gamma z,  r_gamma(sigma_gamma(M))).
 
+Weight sets, ambient sets included, are int bitmasks over the indices of
+``system.roots``: bit i stands for ``system.roots[i]``.  Containment is
+``m & ~ambient == 0``, and r_gamma maps each set bit through the
+reflection's root permutation (Casselman's tables for Weyl elements,
+applied one layer up).  Root tuples appear only when a state is rendered.
+
 Root strings are unbroken, so the gamma-strings of a root system are
-tabulated once per (system, gamma), bottom first, and sigma takes the first
-c roots of a string from its lowest ambient member.  Iterating from
+tabulated once per (system, gamma) as masks with their indices bottom
+first, and sigma takes the first c indices of a string from its lowest
+ambient member.  Iterating from
 (w, LInv(w)) until no further translation applies produces the translation
 graph whose sinks are eventual translates.  For cominuscule P every string
 meets the ambient set at most once, so sigma is the identity and the states
@@ -26,6 +33,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .rootsystem import InvariantViolation, Root, RootSystem, format_root
 from . import nashcore
@@ -47,6 +55,8 @@ from .weyl import (
 __all__ = [
     "PetersonState",
     "TranslationGraph",
+    "weight_mask",
+    "mask_roots",
     "ambient_weights",
     "sigma_shift",
     "tau",
@@ -62,25 +72,53 @@ __all__ = [
 ]
 
 
+def weight_mask(system: RootSystem, roots: Iterable[Root]) -> int:
+    """The bitmask of a set of roots: bit i stands for ``system.roots[i]``."""
+    index = system.index
+    m = 0
+    for r in roots:
+        m |= 1 << index[r]
+    return m
+
+
+def mask_roots(system: RootSystem, mask: int) -> frozenset[Root]:
+    """The roots whose bits are set in ``mask``; the inverse of :func:`weight_mask`."""
+    roots = system.roots
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(roots[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
 class PetersonState:
-    """An immutable (z, M) pair with a precomputed hash."""
+    """An immutable (z, M) pair with a precomputed hash.
 
-    __slots__ = ("z", "weights", "_hash")
+    ``mask`` holds M as a bitmask over ``z.system.roots``; ``weights`` is
+    the same set as root tuples, for rendering.
+    """
 
-    def __init__(self, z: WeylElement, weights: frozenset[Root]) -> None:
+    __slots__ = ("z", "mask", "_hash")
+
+    def __init__(self, z: WeylElement, mask: int) -> None:
         self.z = z
-        self.weights = weights
-        self._hash = hash((z, weights))
+        self.mask = mask
+        self._hash = hash((z, mask))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PetersonState)
             and self.z == other.z
-            and self.weights == other.weights
+            and self.mask == other.mask
         )
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def weights(self) -> frozenset[Root]:
+        return mask_roots(self.z.system, self.mask)
 
     def __repr__(self) -> str:
         ws = ", ".join(format_root(r) for r in sorted(self.weights))
@@ -97,78 +135,108 @@ class TranslationGraph:
 
 
 @lru_cache(maxsize=None)
-def ambient_weights(z: WeylElement, p: ParabolicSubset) -> frozenset[Root]:
-    """z(R^- minus R_L^-): the ambient set that carries every weight set M."""
+def _ambient_indices(system: RootSystem, levi: frozenset[int]) -> tuple[int, ...]:
+    """Indices of R^- minus R_L^- in ``system.roots``."""
+    return tuple(
+        system.index[b] for b in system.negative_roots if not system.in_levi(b, levi)
+    )
+
+
+@lru_cache(maxsize=None)
+def ambient_weights(z: WeylElement, p: ParabolicSubset) -> int:
+    """z(R^- minus R_L^-) as a mask: the ambient set that carries every M."""
     rs = z.system
     _check_levi(rs, p)
-    return frozenset(
-        z(b) for b in rs.negative_roots if not rs.in_levi(b, p.levi)
-    )
+    perm = z.perm
+    m = 0
+    for i in _ambient_indices(rs, p.levi):
+        m |= 1 << perm[i]
+    return m
 
 
 @lru_cache(maxsize=None)
 def _gamma_strings(
     system: RootSystem, gamma: Root
-) -> tuple[dict[Root, int], tuple[tuple[Root, ...], ...]]:
-    """({root: id of its gamma-string}, strings), one table per (system, gamma).
+) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(multi, strings), one table per (system, gamma).
 
-    Root strings are unbroken: each string is walked along beta + gamma
-    through ``system.index`` from its one root with no predecessor, and lists
-    roots of ``system.roots`` bottom first.  gamma and -gamma lie in different
-    strings, since 0 is not a root; no ambient set contains both.
+    ``strings[i]`` is the gamma-string through ``system.roots[i]``: its mask
+    and its root indices, bottom first.  ``multi`` is the union of the
+    strings of two or more roots.  Root strings are unbroken: each string is
+    walked along beta + gamma through ``system.index`` from its one root
+    with no predecessor.  gamma and -gamma lie in different strings, since 0
+    is not a root; no ambient set contains both.
     """
     if not system.is_root(gamma):
         raise ValueError(f"{gamma} is not a root")
     index, roots = system.index, system.roots
-    up: dict[Root, Root] = {}
-    for beta in roots:
-        if (nxt := tuple(b + g for b, g in zip(beta, gamma))) in index:
-            up[beta] = roots[index[nxt]]
+    up: dict[int, int] = {}
+    for i, beta in enumerate(roots):
+        j = index.get(tuple(b + g for b, g in zip(beta, gamma)))
+        if j is not None:
+            up[i] = j
     above = set(up.values())
-    ids: dict[Root, int] = {}
-    strings: list[tuple[Root, ...]] = []
-    for beta in roots:
-        if beta in above:
+    strings: list = [None] * len(roots)
+    multi = 0
+    for i in range(len(roots)):
+        if i in above:
             continue  # not the bottom of its string
-        string = [beta]
-        while string[-1] in up:
-            string.append(up[string[-1]])
-        ids.update((b, len(strings)) for b in string)
-        strings.append(tuple(string))
-    return ids, tuple(strings)
+        ix = [i]
+        while ix[-1] in up:
+            ix.append(up[ix[-1]])
+        entry = (sum(1 << j for j in ix), tuple(ix))
+        for j in ix:
+            strings[j] = entry
+        if len(ix) > 1:
+            multi |= entry[0]
+    return multi, tuple(strings)
 
 
-def sigma_shift(
-    z: WeylElement, p: ParabolicSubset, m: frozenset[Root], alpha: Root
-) -> frozenset[Root]:
+def sigma_shift(z: WeylElement, p: ParabolicSubset, m: int, alpha: Root) -> int:
     """Pack each alpha-string of M into the positions nearest its minimal element.
 
-    The minimal element mu of a string is its ambient member with mu - alpha
-    outside the ambient set; it must be unique, and this is re-verified on
-    every call.  c weights of M on the string become
-    {mu, mu + alpha, ..., mu + (c-1) alpha}, so full blocks and singleton
-    blocks are left unchanged.
+    M and the result are masks.  The minimal element mu of a string is its
+    ambient member with mu - alpha outside the ambient set; it must be
+    unique, and this is re-verified on every string of M that is ambient in
+    part and holds two or more ambient roots (on a wholly ambient string mu
+    is the bottom).  c weights of M on the string become
+    {mu, mu + alpha, ..., mu + (c-1) alpha}, so full blocks and strings with
+    one ambient member are left unchanged.
     """
     ambient = ambient_weights(z, p)
-    if not m <= ambient:
+    if m & ~ambient:
         raise ValueError("weight set must live inside the ambient set of z")
-    ids, strings = _gamma_strings(z.system, alpha)
-    if len({ids[beta] for beta in ambient}) == len(ambient):
-        # all strings are singletons {mu}, with mu - alpha outside the ambient set
-        return m
-    out: list[Root] = []
-    for sid, c in Counter(ids[beta] for beta in m).items():
-        string = strings[sid]
-        inside = [beta in ambient for beta in string]
-        bottoms = [i for i, x in enumerate(inside) if x and not (i and inside[i - 1])]
-        if len(bottoms) != 1:
-            raise InvariantViolation(
-                f"alpha-minimal element not unique in {list(string)} along {alpha}"
-            )
-        out += string[bottoms[0] : bottoms[0] + c]
-    if len(out) != len(m):
+    multi, strings = _gamma_strings(z.system, alpha)
+    out = m
+    todo = m & multi
+    while todo:
+        smask, ix = strings[(todo & -todo).bit_length() - 1]
+        todo &= ~smask
+        inside = ambient & smask
+        if not inside & (inside - 1):
+            continue  # one ambient root on the string, and M holds it
+        if inside == smask:
+            b = 0  # the whole string is ambient: its bottom is the one minimum
+        else:
+            bottoms = [
+                k
+                for k, i in enumerate(ix)
+                if inside >> i & 1 and not (k and inside >> ix[k - 1] & 1)
+            ]
+            if len(bottoms) != 1:
+                roots = z.system.roots
+                raise InvariantViolation(
+                    f"alpha-minimal element not unique in {[roots[i] for i in ix]} "
+                    f"along {alpha}"
+                )
+            b = bottoms[0]
+        packed = 0
+        for i in ix[b : b + (m & smask).bit_count()]:
+            packed |= 1 << i
+        out = out & ~smask | packed
+    if out.bit_count() != m.bit_count():
         raise InvariantViolation("sigma changed the cardinality of the weight set")
-    return frozenset(out)
+    return out
 
 
 def tau(state: PetersonState, gamma: Root, p: ParabolicSubset) -> PetersonState:
@@ -180,12 +248,17 @@ def tau(state: PetersonState, gamma: Root, p: ParabolicSubset) -> PetersonState:
             f"{format_word(reduced_word(z))}"
         )
     refl = reflection_from_root(z.system, gamma)
-    shifted = sigma_shift(z, p, state.weights, gamma)
-    new_weights = frozenset(refl(r) for r in shifted)
+    shifted = sigma_shift(z, p, state.mask, gamma)
+    perm = refl.perm
+    new = 0
+    while shifted:
+        low = shifted & -shifted
+        new |= 1 << perm[low.bit_length() - 1]
+        shifted ^= low
     new_z = min_coset_rep(multiply(refl, z), p)
-    if not new_weights <= ambient_weights(new_z, p):
+    if new & ~ambient_weights(new_z, p):
         raise InvariantViolation("translated weights left the ambient set")
-    return PetersonState(new_z, new_weights)
+    return PetersonState(new_z, new)
 
 
 def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
@@ -200,7 +273,7 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
         raise ValueError(
             f"{format_word(reduced_word(w))} is not a minimal coset representative"
         )
-    start = PetersonState(w, frozenset(left_inversions(w)))
+    start = PetersonState(w, weight_mask(rs, left_inversions(w)))
     nodes: list[PetersonState] = [start]
     seen: set[PetersonState] = {start}
     edges: list[tuple[PetersonState, Root, PetersonState]] = []
@@ -219,6 +292,13 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     return TranslationGraph(root=start, nodes=tuple(nodes), edges=tuple(edges))
 
 
+@lru_cache(maxsize=None)
+def _tangent_indices(d: nashcore.SchubertDatum) -> tuple[int, ...]:
+    """E = w^{-1}(LInv(w)) as indices in ``d.system.roots``."""
+    index = d.system.index
+    return tuple(index[r] for r in nashcore.tangent_roots(d))
+
+
 def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
     """The closed form of the eventual translate at the fixed point z.
 
@@ -232,8 +312,11 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
         raise ValueError(f"{format_word(reduced_word(z))} is not in W^Q")
     if not bruhat_leq(z, d.w):
         raise ValueError(f"{format_word(reduced_word(z))} is not below w")
-    e_set = nashcore.tangent_roots(d)
-    return PetersonState(min_coset_rep(z, d.p), frozenset(z(r) for r in e_set))
+    perm = z.perm
+    m = 0
+    for i in _tangent_indices(d):
+        m |= 1 << perm[i]
+    return PetersonState(min_coset_rep(z, d.p), m)
 
 
 @dataclass(frozen=True)

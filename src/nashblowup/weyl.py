@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .rootsystem import Root, RootSystem
+from .rootsystem import InvariantViolation, Root, RootSystem
 
 __all__ = [
     "WeylElement",
@@ -304,10 +304,26 @@ def interval_min_reps(
 
 @lru_cache(maxsize=None)
 def reflection_from_root(system: RootSystem, alpha: Root) -> WeylElement:
-    """The reflection r_alpha as a group element."""
-    if not system.is_root(alpha):
+    """The reflection r_alpha as a group element.
+
+    Only simple reflections are computed from ``system.reflect``.  r_{-alpha}
+    is r_alpha, and for a positive non-simple alpha some s_i lowers its
+    height, so r_alpha = s_i r_{s_i alpha} s_i.
+    """
+    k = system.index.get(alpha)
+    if k is None:
         raise ValueError(f"{alpha} is not a root of {system.cartan_type}")
-    return _from_images(system, (system.reflect(alpha, b) for b in system.roots))
+    n = len(system.positive_roots)
+    if k >= n:  # system.roots lists -beta n places after beta
+        return reflection_from_root(system, system.roots[k - n])
+    if system.is_simple(alpha):
+        return _from_images(system, (system.reflect(alpha, b) for b in system.roots))
+    for i in range(1, system.rank + 1):
+        s = simple_reflection(system, i)
+        lower = system.roots[s.perm[k]]
+        if sum(lower) < sum(alpha):
+            return multiply(multiply(s, reflection_from_root(system, lower)), s)
+    raise InvariantViolation(f"no simple reflection lowers {alpha}")
 
 
 def longest_element(system: RootSystem) -> WeylElement:

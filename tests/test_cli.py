@@ -10,7 +10,7 @@ import pytest
 
 import nashblowup
 from nashblowup import peterson, sweeps
-from nashblowup.cli import main
+from nashblowup.cli import VERIFY_LIMITS, main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
 E7_TOP = "7,6,5,4,3,2,4,5,6,7,1,3,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7"
@@ -190,6 +190,14 @@ def test_usage_errors(capsys, monkeypatch):
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(sweeps, "covexillary_perms", no_sweep)
+    for name in (
+        "theorem2_sweep",
+        "singular_agreement_sweep",
+        "coess_formula_sweep",
+        "fiberproduct_sweep",
+        "conjecture_sweep",
+    ):
+        monkeypatch.setattr(sweeps, name, no_sweep)
     # malformed permutation
     code, _, err = run(capsys, ["nash", "--perm", "1123", "--k", "1"])
     assert code == 2
@@ -223,6 +231,8 @@ def test_usage_errors(capsys, monkeypatch):
         ["conjecture", "--n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
         ["verify", "--conjecture-n", "6", "--jobs", "0"],
         ["verify", "--conjecture-n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
+        # verify ranges above their stated limits, refused before any sweep
+        *(["verify", flag, str(limit + 1)] for flag, limit in VERIFY_LIMITS.items()),
     ):
         code, out, err = run(capsys, argv)
         assert code == 2

@@ -1,0 +1,62 @@
+"""Byte identity of CLI stdout on a small fixed corpus.
+
+Each digest is the SHA-256 of stdout, taken before weight sets became
+root-index bitmasks; the corpus covers both translation-graph renderings
+on one top cell of each classical family, the E6 Nash report and a
+covexillary conjecture check, so a change of representation that alters
+any rendered byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from nashblowup.cli import main
+
+A3_TOP = ["--type", "A", "--rank", "3", "--node", "2", "--word", "2,3,1,2"]
+B3_TOP = ["--type", "B", "--rank", "3", "--node", "1", "--word", "1,2,3,2,1"]
+C3_TOP = ["--type", "C", "--rank", "3", "--node", "3", "--word", "3,2,3,1,2,3"]
+D4_TOP = ["--type", "D", "--rank", "4", "--node", "1", "--word", "1,2,4,3,2,1"]
+E6_TOP = [
+    "--type", "E", "--rank", "6", "--node", "1",
+    "--word", "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1",
+]
+
+CORPUS = [
+    (["peterson", *A3_TOP, "--format", "json"], 0,
+     "0800cf330bcc1a72fda5397495c058693d7fd621ca887d960e34267f5d7db245"),
+    (["peterson", *A3_TOP, "--format", "dot"], 0,
+     "ace693e2727070c075f929e303d04be8c31760571a1e896a08437bc375421fa8"),
+    (["peterson", *B3_TOP, "--format", "json"], 0,
+     "42a8303f98acade92e499559c6e807f692c0e9dd3dcb7b626aaa751526794021"),
+    (["peterson", *B3_TOP, "--format", "dot"], 0,
+     "d1b40d155d6cc09ae5c66aa022eb20c44357476fed8c1f857e573ba3d565fd9f"),
+    (["peterson", *C3_TOP, "--format", "json"], 0,
+     "0cb1fb9db25a2abadf350718b5152e0f1738e26fb1062b195e287e7062d9967e"),
+    (["peterson", *C3_TOP, "--format", "dot"], 0,
+     "3baaf90eb0db564e72ca7db2e6a081afa69d6c421db88c5a7aa3b3b6f9cad581"),
+    (["peterson", *D4_TOP, "--format", "json"], 0,
+     "d00042f84ea888110936dbb3c539ee46e0f676889e17f9043ddf5b85e664a489"),
+    (["peterson", *D4_TOP, "--format", "dot"], 0,
+     "19bfd5fae5f9ebd95e9811b266cefe4dddc2828889352142adbbf959761c7208"),
+    (["nash", *E6_TOP, "--format", "json"], 0,
+     "226b8fa8c30734785dc10dcc456e52fbbcc290876f5f44c0a65dc73932acf68e"),
+    # (5,2,3,4,1) is the documented mismatch: exit 1 with a full report
+    (["conjecture", "--perm", "5,2,3,4,1", "--format", "json"], 1,
+     "d8f7d344e5b5712f3bf8f44bd543fa6fd2f1e4bf0981a16d9aa1aa97f459f998"),
+]
+
+
+def _case_id(argv):
+    # e.g. "peterson-B3-dot", "nash-E6-json", "conjecture-5,2,3,4,1-json"
+    what = argv[2] if argv[1] == "--perm" else argv[2] + argv[4]
+    return f"{argv[0]}-{what}-{argv[-1]}"
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", CORPUS, ids=[_case_id(a) for a, _, _ in CORPUS]
+)
+def test_stdout_digest(capsys, argv, code, digest):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

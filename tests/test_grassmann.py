@@ -76,6 +76,25 @@ def test_perm_weyl_roundtrip_s4():
         assert w.length == inversions
 
 
+def test_perm_weyl_roundtrip_s6():
+    rs = rootsystem.root_system("A", 5)
+    elements = set()
+    for p in itertools.permutations(range(1, 7)):
+        w = perm_to_weyl(rs, p)
+        assert weyl_to_perm(w) == p
+        elements.add(w)
+    assert len(elements) == 720  # all of W(A5): every element is read back
+
+
+def test_weyl_to_perm_rejects_inconsistent_action():
+    # a table sending alpha_1 and alpha_2 both to e1 - e2 is no permutation
+    rs = rootsystem.root_system("A", 2)
+    perm = bytearray(weyl.identity(rs).perm)
+    perm[rs.index[(0, 1)]] = rs.index[(1, 0)]
+    with pytest.raises(ValueError, match="inconsistent"):
+        weyl_to_perm(weyl.WeylElement(rs, bytes(perm)))
+
+
 def test_perm_weyl_respects_product():
     rs = rootsystem.root_system("A", 3)
     s2 = weyl.simple_reflection(rs, 2)

@@ -17,10 +17,12 @@ from nashblowup.peterson import (
     fixed_point_table,
     graph_to_dot,
     graph_to_json,
+    mask_roots,
     sigma_shift,
     tau,
     theorem2_map,
     verify_theorem2,
+    weight_mask,
 )
 from nashblowup.rootsystem import InvariantViolation
 from nashblowup.weyl import (
@@ -100,7 +102,7 @@ class TestA3Graph:
 
 def test_ambient_weights_identity(a3, a3_parabolic):
     out = ambient_weights(identity(a3), a3_parabolic)
-    assert out == frozenset(
+    assert mask_roots(a3, out) == frozenset(
         {neg(A2), neg(A12), neg(A23), neg(A123)}
     )
 
@@ -124,6 +126,10 @@ def _string_key(beta, alpha):
     return (beta[j] % alpha[j], cross)
 
 
+def _ambient(z, p):
+    return mask_roots(z.system, ambient_weights(z, p))
+
+
 def alpha_strings(z, p, alpha):
     """Partition of the ambient set into strings modulo Z alpha.
 
@@ -134,7 +140,7 @@ def alpha_strings(z, p, alpha):
     if not z.system.is_root(alpha):
         raise ValueError(f"{alpha} is not a root")
     blocks = {}
-    for beta in ambient_weights(z, p):
+    for beta in _ambient(z, p):
         blocks.setdefault(_string_key(beta, alpha), set()).add(beta)
     return tuple(frozenset(b) for b in sorted(blocks.values(), key=min))
 
@@ -174,7 +180,7 @@ class TestStringsOnCovexillarySeed:
 
     def test_ambient(self, seed):
         _, z, p = seed
-        assert ambient_weights(z, p) == frozenset(
+        assert _ambient(z, p) == frozenset(
             {
                 (0, -1, -1, 0), (0, -1, 0, 0), (0, 0, -1, 0),
                 (0, 0, 0, 1), (0, 0, 1, 1), (1, 0, 0, 0),
@@ -189,7 +195,7 @@ class TestStringsOnCovexillarySeed:
         for b in blocks:
             assert not (union & set(b))
             union |= set(b)
-        assert union == set(ambient_weights(z, p))
+        assert union == set(_ambient(z, p))
 
     def test_two_element_strings(self, seed):
         _, z, p = seed
@@ -199,15 +205,15 @@ class TestStringsOnCovexillarySeed:
 
     def test_alpha_minimal(self, seed):
         _, z, p = seed
-        amb = ambient_weights(z, p)
+        amb = _ambient(z, p)
         block = frozenset({self.B_NA2, self.B_A1})
         assert alpha_minimal(block, self.GAMMA, amb) == self.B_NA2
 
     def test_sigma_shift(self, seed):
-        _, z, p = seed
-        m = left_inversions(z)
+        rs, z, p = seed
+        m = weight_mask(rs, left_inversions(z))
         shifted = sigma_shift(z, p, m, self.GAMMA)
-        assert shifted == frozenset(
+        assert mask_roots(rs, shifted) == frozenset(
             {
                 (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1),
                 (1, 1, 0, 0), (1, 1, 1, 1),
@@ -216,13 +222,19 @@ class TestStringsOnCovexillarySeed:
 
     def test_sigma_shift_moves_a_lone_weight_down(self, seed):
         # one weight per string is still packed to the string's bottom
-        _, z, p = seed
-        shifted = sigma_shift(z, p, frozenset({self.B_A1}), self.GAMMA)
-        assert shifted == frozenset({self.B_NA2})
+        rs, z, p = seed
+        shifted = sigma_shift(z, p, weight_mask(rs, {self.B_A1}), self.GAMMA)
+        assert mask_roots(rs, shifted) == frozenset({self.B_NA2})
+
+    def test_sigma_shift_rejects_weights_outside_the_ambient_set(self, seed):
+        rs, z, p = seed
+        outside = weight_mask(rs, {(0, 1, 0, 0)})  # a2: only -a2 is ambient
+        with pytest.raises(ValueError, match="ambient set"):
+            sigma_shift(z, p, outside, self.GAMMA)
 
     def test_tau_step(self, seed):
-        _, z, p = seed
-        state = PetersonState(z, left_inversions(z))
+        rs, z, p = seed
+        state = PetersonState(z, weight_mask(rs, left_inversions(z)))
         out = tau(state, self.GAMMA, p)
         assert grassmann.weyl_to_perm(out.z) == (2, 5, 1, 3, 4)
         assert out.weights == frozenset(
@@ -233,8 +245,8 @@ class TestStringsOnCovexillarySeed:
         )
 
 
-def test_tau_rejects_non_inversion(a3_w, a3_parabolic):
-    state = PetersonState(a3_w, left_inversions(a3_w))
+def test_tau_rejects_non_inversion(a3, a3_w, a3_parabolic):
+    state = PetersonState(a3_w, weight_mask(a3, left_inversions(a3_w)))
     with pytest.raises(ValueError):
         tau(state, A2, a3_parabolic)  # a2 is not a left inversion of w
 
@@ -251,15 +263,16 @@ def test_sigma_shift_rejects_a_gapped_block(monkeypatch):
     # the two ends of the alpha3-string a2, a2+a3, a2+2a3 of B3, without its
     # middle: both ends look minimal, so the string structure is broken
     rs = rootsystem.root_system("B", 3)
-    gapped = frozenset({(0, 1, 0), (0, 1, 2)})
+    gapped = weight_mask(rs, {(0, 1, 0), (0, 1, 2)})
     monkeypatch.setattr(peterson, "ambient_weights", lambda z, p: gapped)
-    with pytest.raises(InvariantViolation):
-        sigma_shift(identity(rs), parabolic(), frozenset({(0, 1, 2)}), (0, 0, 1))
+    m = weight_mask(rs, {(0, 1, 2)})
+    with pytest.raises(InvariantViolation, match="not unique"):
+        sigma_shift(identity(rs), parabolic(), m, (0, 0, 1))
 
 
 def test_theorem2_map_golden(a3, a3_datum, a3_w):
     top = theorem2_map(a3_w, a3_datum)
-    assert top == PetersonState(a3_w, left_inversions(a3_w))
+    assert top == PetersonState(a3_w, weight_mask(a3, left_inversions(a3_w)))
     z = from_word(a3, [3, 1])
     state = theorem2_map(z, a3_datum)
     assert state.z == identity(a3)
@@ -367,7 +380,7 @@ def test_fixed_point_table_shape(a3_datum):
 
 def _packed(z, p, m, gamma):
     """Each gamma-string of M moved down to its gamma-minimal end."""
-    ambient = ambient_weights(z, p)
+    ambient = _ambient(z, p)
     out = set()
     for block in alpha_strings(z, p, gamma):
         count = len(block & m)
@@ -421,7 +434,7 @@ def test_sigma_shift_matches_packing_on_every_edge(name):
         nontrivial += any(len(b) > 1 for b in blocks)
         three_fill.update(len(b & state.weights) for b in blocks if len(b) == 3)
         expected = _packed(z, p, state.weights, gamma)
-        assert sigma_shift(z, p, state.weights, gamma) == expected
+        assert mask_roots(z.system, sigma_shift(z, p, state.mask, gamma)) == expected
         refl = weyl.reflection_from_root(z.system, gamma)
         assert target.weights == frozenset(refl(r) for r in expected)
     if "full flag top cell" in name:
@@ -433,3 +446,14 @@ def test_sigma_shift_matches_packing_on_every_edge(name):
         assert nontrivial > 0  # the packing itself runs here
     else:
         assert nontrivial == 0  # cominuscule: every string is a singleton
+
+
+def test_tau_rejects_weights_leaving_the_ambient_set(monkeypatch, a3_w, a3_parabolic):
+    # an empty ambient set at every target z: the translated mask must not fit
+    state = eventual_translates(a3_w, a3_parabolic).root
+    real = peterson.ambient_weights
+    monkeypatch.setattr(
+        peterson, "ambient_weights", lambda z, p: real(z, p) if z == a3_w else 0
+    )
+    with pytest.raises(InvariantViolation, match="left the ambient set"):
+        tau(state, A1, a3_parabolic)

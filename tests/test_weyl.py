@@ -110,7 +110,8 @@ def test_left_inversion_count_is_length(b3, weyl_group):
 def test_left_inversions_p_excludes_levi(a3, a3_parabolic):
     # LInv^P(w0) = w0(R^- minus R_L^-) intersected with R^+
     w0 = longest_element(a3)
-    out = {g for g in peterson.ambient_weights(w0, a3_parabolic) if g in a3.positive_roots}
+    ambient = peterson.mask_roots(a3, peterson.ambient_weights(w0, a3_parabolic))
+    out = {g for g in ambient if g in a3.positive_roots}
     assert (1, 0, 0) not in out
     assert (0, 0, 1) not in out
     assert (0, 1, 0) in out
@@ -244,6 +245,24 @@ def test_reflection_from_root(b3):
         assert r(alpha) == tuple(-c for c in alpha)
         assert multiply(r, r) == identity(b3)
         assert r.length % 2 == 1
+
+
+CONJUGATION_TYPES = (
+    [("A", n) for n in range(1, 8)]
+    + [(f, n) for f in "BC" for n in range(2, 6)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("E", 7)]
+)
+
+
+@pytest.mark.parametrize("family,rank", CONJUGATION_TYPES)
+def test_reflection_by_conjugation_matches_reflect(family, rank):
+    # only simple reflections come from RootSystem.reflect; every other r_alpha
+    # is a product s_i r_{s_i alpha} s_i, checked here on every root
+    rs = rootsystem.root_system(family, rank)
+    for alpha in rs.roots:
+        r = reflection_from_root(rs, alpha)
+        assert [rs.roots[j] for j in r.perm] == [rs.reflect(alpha, b) for b in rs.roots]
 
 
 def test_parabolic_validation(a3):
