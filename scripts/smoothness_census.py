@@ -11,8 +11,9 @@ record whether the Nash blow-up itself is smooth.
 from __future__ import annotations
 
 import argparse
+import sys
 
-from nashblowup import grassmann, nashcore, rootsystem, sweeps, weyl
+from nashblowup import cli, grassmann, nashcore, rootsystem, sweeps, weyl
 
 
 def census(n: int, k: int) -> tuple[int, int, int, int]:
@@ -30,8 +31,11 @@ def census(n: int, k: int) -> tuple[int, int, int, int]:
                 resolved += 1
             else:
                 still += 1
-        else:
-            assert smooth_blowup, f"smooth variety {perm} with singular blow-up"
+        elif not smooth_blowup:
+            # a smooth variety is its own Nash blow-up; checked without
+            # assert, which python -O strips
+            print(f"error: smooth {perm} has a singular blow-up", file=sys.stderr)
+            raise SystemExit(1)
     return total, singular, resolved, still
 
 
@@ -39,6 +43,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=7)
     args = ap.parse_args()
+    top = cli.VERIFY_LIMITS["--max-n-fibers"]  # the sizes verify's type-A sweep takes
+    if not 2 <= args.max_n <= top:
+        print(f"error: --max-n {args.max_n}: choose 2..{top}", file=sys.stderr)
+        return 2
     print(f"{'Gr(k,n)':>9}  {'cells':>5}  {'singular':>8}  {'resolved':>8}  {'not yet':>7}")
     for n in range(2, args.max_n + 1):
         for k in range(1, n):

@@ -391,8 +391,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
     for flag, limit in VERIFY_LIMITS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value > limit:
-            raise UsageError(f"{flag} {value}: the sweep allows at most {limit}")
+        if not 0 <= value <= limit:
+            raise UsageError(f"{flag} {value}: the sweep allows 0..{limit}")
+    empty = {  # a sweep that runs on a range holding no datum would pass idle
+        "--max-rank-a/--max-rank-bc/--skip-d4": not args.skip_translates
+        and args.max_rank_a < 1 and args.max_rank_bc < 2 and args.skip_d4,
+        "--max-n-coess": not args.skip_coess and args.max_n_coess < 2,
+        "--max-n-fibers": not args.skip_fibers and args.max_n_fibers < 2,
+    }
+    for flags in filter(empty.get, empty):
+        raise UsageError(f"{flags}: no datum in range; widen it or skip the sweep")
     if args.conjecture_n:  # 0 skips the sweep
         _check_sweep_n("--conjecture-n", args.conjecture_n)
     outcomes = []
@@ -411,7 +419,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         outcomes.append(sweeps.fiberproduct_sweep(args.max_n_fibers))
     if args.conjecture_n:
         outcomes.append(sweeps.conjecture_sweep(args.conjecture_n, jobs=args.jobs))
-    lines = [o.summary() for o in outcomes]
     bad = [o for o in outcomes if not o.ok]
     if args.format == "json":
         _emit(
@@ -429,7 +436,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args,
         )
     else:
-        _emit("\n".join(lines), args)
+        _emit("\n".join(o.summary() for o in outcomes), args)
     return CHECK_FAILED if bad else 0
 
 

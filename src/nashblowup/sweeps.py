@@ -17,7 +17,6 @@ library form of the CLI ``verify`` subcommand and of the acceptance tests:
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
@@ -256,7 +255,8 @@ def _conjecture_verdict(w: grassmann.Permutation) -> tuple[tuple[int, ...], list
 def conjecture_sweep(n: int, jobs: int = 1) -> SweepOutcome:
     out = SweepOutcome(f"fiber-product conjecture on S_{n}")
     perms = list(covexillary_perms(n))
-    if jobs > 1:
+    if jobs > 1:  # the pool stack loads only here, off the start-up path
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_conjecture_verdict, perms, chunksize=16))
     else:

@@ -3,11 +3,11 @@
 An element w is stored as the permutation it induces on the finite root set
 (the representation of CHEVIE and of Casselman's "Machine calculations in
 Weyl groups"): ``perm[i]`` is the index in ``system.roots`` of
-``w(system.roots[i])``.  Composition, length, descents and the action on a
-root are then table lookups.  The tables are ``bytes`` (a sixth of a tuple's
-memory) up to 256 roots and tuples above; an element hashes as the tuple,
-which, unlike bytes, ignores PYTHONHASHSEED.  Elements are interned per root
-system, so repeated products hit caches instead of recomputing lengths.
+``w(system.roots[i])``.  Length, descents and the action on a root are table
+lookups, and a product is one ``bytes.translate``.  Tables are ``bytes`` (a
+sixth of a tuple's memory) up to 256 roots, tuples composed by ``map`` above;
+an element hashes as the tuple, which, unlike bytes, ignores PYTHONHASHSEED.
+Elements are interned per root system, so repeated products hit caches.
 
 Ideals {v in W^P : v <= w} are walked upwards from e inside W^P (Bjorner-
 Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), never listing all of W.
@@ -151,9 +151,12 @@ def simple_reflection(system: RootSystem, i: int) -> WeylElement:
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
+    """u v as functions: one ``bytes.translate`` of v's table through u's."""
     if u.system is not v.system:
         raise ValueError("cannot multiply elements of different root systems")
-    return _element(u.system, type(u.perm)(map(u.perm.__getitem__, v.perm)))
+    if type(u.perm) is bytes:  # translate wants a 256-entry table
+        return _element(u.system, v.perm.translate(u.perm.ljust(256, b"\0")))
+    return _element(u.system, tuple(map(u.perm.__getitem__, v.perm)))
 
 
 @lru_cache(maxsize=None)

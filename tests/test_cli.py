@@ -151,6 +151,14 @@ def test_verify_small(capsys):
     assert code == 0
     assert "translate bijection" in out
     assert "ok" in out
+    # --max-rank-a 0 is still a range while B/C or D4 data remain: here the
+    # four cells each of the quadric B2/P1 and of LG(2,4) = C2/P2
+    argv = ["verify", "--max-rank-a", "0", "--max-rank-bc", "2", "--skip-d4"]
+    code, out, _ = run(capsys, argv + ["--skip-coess", "--skip-fibers"])
+    assert code == 0
+    assert out == (
+        "translate bijection: checked 8, ok\nsingular locus agreement: checked 8, ok\n"
+    )
 
 
 def test_verify_json(capsys):
@@ -188,7 +196,8 @@ def test_usage_errors(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a permutation sweep was started")
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    # conjecture_sweep imports the pool lazily, so patch where it looks it up
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(sweeps, "covexillary_perms", no_sweep)
     for name in (
         "theorem2_sweep",
@@ -233,11 +242,35 @@ def test_usage_errors(capsys, monkeypatch):
         ["verify", "--conjecture-n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
         # verify ranges above their stated limits, refused before any sweep
         *(["verify", flag, str(limit + 1)] for flag, limit in VERIFY_LIMITS.items()),
+        # negative ranges, and sweeps left to run on a range holding no datum:
+        # each would print "checked 0, ok" and pass
+        *(["verify", flag, "-1"] for flag in VERIFY_LIMITS),
+        ["verify", "--skip-translates", "--skip-fibers", "--max-n-coess", "-5"],
+        ["verify", "--max-rank-a", "0", "--max-rank-bc", "0", "--skip-d4"],
+        ["verify", "--max-rank-a", "0", "--max-rank-bc", "1", "--skip-d4"],
+        ["verify", "--skip-translates", "--skip-fibers", "--max-n-coess", "1"],
+        ["verify", "--skip-translates", "--skip-coess", "--max-n-fibers", "1"],
+        ["verify", "--max-n-fibers", "0"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 starts workers; every other run must not pay for
+    # importing multiprocessing at start-up
+    script = (
+        "import sys, nashblowup.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+        " & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=module_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])

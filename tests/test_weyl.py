@@ -407,6 +407,28 @@ def test_tuple_tables_beyond_256_roots():
     _assert_matches_matrix(rs, multiply(u, v), m)
 
 
+@pytest.mark.parametrize(
+    "spec", ORACLE_TYPES + [("A", 16)], ids=lambda spec: "%s%d" % spec
+)
+def test_products_keep_the_table_type(spec):
+    # bytes tables compose by translate and tuple tables (A16) by map; both
+    # must give the plain composition u(v(x)), in the table type of the system
+    rs = rootsystem.root_system(*spec)
+    pack = tuple if spec == ("A", 16) else bytes
+    n = rs.rank
+    words = [range(1, n + 1), range(n, 0, -1), [1, n, 1, 2, n - 1], [n, 2, 1, 3]]
+    elements = [identity(rs), longest_element(rs)]
+    elements += [from_word(rs, word) for word in words]
+    for u in elements:
+        assert type(u.perm) is pack
+        assert type(inverse(u).perm) is pack
+        assert multiply(u, identity(rs)) is u  # products stay interned
+        for v in elements:
+            uv = multiply(u, v)
+            assert type(uv.perm) is pack
+            assert uv.perm == pack(map(u.perm.__getitem__, v.perm))
+
+
 def test_applying_to_a_non_root_raises(a3, a3_w):
     for vector in [(2, 0, 0), (0, 0, 0), (1, 0, 1)]:
         with pytest.raises(ValueError):
