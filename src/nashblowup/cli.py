@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import grassmann, nashcore, peterson, sweeps, zelevinsky
@@ -369,16 +370,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     _check_sweep_n("--n", args.n)
     outcome = sweeps.conjecture_sweep(args.n, jobs=args.jobs)
     if args.format == "json":
-        _emit(
-            _json_dumps(
-                {
-                    "label": outcome.label,
-                    "checked": outcome.checked,
-                    "failures": outcome.failures,
-                }
-            ),
-            args,
-        )
+        _emit(_json_dumps(asdict(outcome)), args)
     else:
         _emit(outcome.summary(), args)
     return 0 if outcome.ok else CHECK_FAILED
@@ -405,13 +397,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_sweep_n("--conjecture-n", args.conjecture_n)
     outcomes = []
     if not args.skip_translates:
-        outcomes.append(
-            sweeps.theorem2_sweep(args.max_rank_a, args.max_rank_bc, not args.skip_d4)
-        )
-        outcomes.append(
-            sweeps.singular_agreement_sweep(
-                args.max_rank_a, args.max_rank_bc, not args.skip_d4
-            )
+        outcomes.extend(
+            sweeps.cominuscule_sweep(args.max_rank_a, args.max_rank_bc, not args.skip_d4)
         )
     if not args.skip_coess:
         outcomes.append(sweeps.coess_formula_sweep(args.max_n_coess))
@@ -421,20 +408,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         outcomes.append(sweeps.conjecture_sweep(args.conjecture_n, jobs=args.jobs))
     bad = [o for o in outcomes if not o.ok]
     if args.format == "json":
-        _emit(
-            _json_dumps(
-                [
-                    {
-                        "label": o.label,
-                        "checked": o.checked,
-                        "ok": o.ok,
-                        "failures": o.failures,
-                    }
-                    for o in outcomes
-                ]
-            ),
-            args,
-        )
+        _emit(_json_dumps([asdict(o) | {"ok": o.ok} for o in outcomes]), args)
     else:
         _emit("\n".join(o.summary() for o in outcomes), args)
     return CHECK_FAILED if bad else 0

@@ -104,7 +104,6 @@ def delta_w(d: SchubertDatum) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def tangent_roots(d: SchubertDatum) -> frozenset[Root]:
     """E = w^{-1}(LInv(w)), inside R^- minus R_L^-."""
     winv = inverse(d.w)

@@ -261,11 +261,15 @@ def tau(state: PetersonState, gamma: Root, p: ParabolicSubset) -> PetersonState:
     return PetersonState(new_z, new)
 
 
+@lru_cache(maxsize=1)
 def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     """Breadth-first closure of translation from (w, LInv(w)).
 
     Deterministic: neighbors are explored in lexicographic order of gamma.
     Edge targets always have strictly smaller length, so the graph is acyclic.
+    The last graph built is memoised (one entry), so checks of one datum made
+    in a row share it; the graph and its states are immutable, so sharing is
+    safe.
     """
     rs = w.system
     _check_levi(rs, p)

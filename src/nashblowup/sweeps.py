@@ -2,7 +2,10 @@
 
 Each sweep returns a :class:`SweepOutcome` whose ``failures`` list is empty
 exactly when the property holds on the whole range.  The sweeps are the
-library form of the CLI ``verify`` subcommand and of the acceptance tests:
+library form of the CLI ``verify`` subcommand and of the acceptance tests.
+:func:`cominuscule_sweep` makes the first two checks in one walk over the
+cominuscule data, building each datum's translation graph once;
+:func:`theorem2_sweep` and :func:`singular_agreement_sweep` return its halves.
 
 * translate-bijection sweep: the closed-form map is a bijection onto the
   eventual translates for every cominuscule datum in range;
@@ -34,6 +37,7 @@ from .weyl import (
 __all__ = [
     "SweepOutcome",
     "cominuscule_data",
+    "cominuscule_sweep",
     "theorem2_sweep",
     "singular_agreement_sweep",
     "coess_formula_sweep",
@@ -92,15 +96,22 @@ def _datum_tag(d: nashcore.SchubertDatum) -> dict:
     }
 
 
-def theorem2_sweep(
+def cominuscule_sweep(
     max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
-) -> SweepOutcome:
-    out = SweepOutcome("translate bijection")
+) -> tuple[SweepOutcome, SweepOutcome]:
+    """(translate bijection, singular locus agreement) in one pass over the data.
+
+    Both checks of a datum read one translation graph: ``verify_theorem2``
+    builds it and ``ck_singular_points`` takes it from the memo of
+    :func:`peterson.eventual_translates`.
+    """
+    bij = SweepOutcome("translate bijection")
+    sing = SweepOutcome("singular locus agreement")
     for d in cominuscule_data(max_rank_a, max_rank_bc, include_d4):
         report = peterson.verify_theorem2(d)
-        out.checked += 1
+        bij.checked += 1
         if not report.ok:
-            out.failures.append(
+            bij.failures.append(
                 _datum_tag(d)
                 | {
                     "missing": len(report.missing),
@@ -108,19 +119,11 @@ def theorem2_sweep(
                     "collisions": len(report.collisions),
                 }
             )
-    return out
-
-
-def singular_agreement_sweep(
-    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
-) -> SweepOutcome:
-    out = SweepOutcome("singular locus agreement")
-    for d in cominuscule_data(max_rank_a, max_rank_bc, include_d4):
         via_fibers = nashcore.singular_fixed_points(d)
         via_translates = peterson.ck_singular_points(d.w, d.p)
-        out.checked += 1
+        sing.checked += 1
         if via_fibers != via_translates:
-            out.failures.append(
+            sing.failures.append(
                 _datum_tag(d)
                 | {
                     "fiber_route": sorted(
@@ -131,7 +134,19 @@ def singular_agreement_sweep(
                     ),
                 }
             )
-    return out
+    return bij, sing
+
+
+def theorem2_sweep(
+    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
+) -> SweepOutcome:
+    return cominuscule_sweep(max_rank_a, max_rank_bc, include_d4)[0]
+
+
+def singular_agreement_sweep(
+    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
+) -> SweepOutcome:
+    return cominuscule_sweep(max_rank_a, max_rank_bc, include_d4)[1]
 
 
 def grassmannian_perms(n: int, k: int) -> Iterator[grassmann.Permutation]:

@@ -180,21 +180,32 @@ def right_descents(w: WeylElement) -> frozenset[int]:
     )
 
 
+def _walk(w: WeylElement, steps, word: list[int] | None = None) -> WeylElement:
+    """Right-multiply by s_i, i = min(steps(cur)), until steps(cur) is empty.
+
+    Each step moves the length by one, so a walk longer than the number of
+    positive roots means a wrong product; it raises instead of looping.
+    """
+    cur = w
+    for _ in range(len(w.system.positive_roots) + 1):
+        ix = steps(cur)
+        if not ix:
+            return cur
+        i = min(ix)
+        if word is not None:
+            word.append(i)
+        cur = _right_mult(cur, i)
+    raise InvariantViolation(
+        f"descent walk in {w.system.cartan_type} exceeded the longest length"
+    )
+
+
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically greedy reduced word, cached on the element."""
-    if w._word is not None:
-        return w._word
-    word: list[int] = []
-    cur = w
-    while True:
-        ds = right_descents(cur)
-        if not ds:
-            break
-        i = min(ds)
-        word.append(i)
-        cur = _right_mult(cur, i)
-    word.reverse()
-    w._word = tuple(word)
+    if w._word is None:
+        word: list[int] = []
+        _walk(w, right_descents, word)
+        w._word = tuple(reversed(word))
     return w._word
 
 
@@ -204,7 +215,6 @@ def format_word(word: Iterable[int]) -> str:
     return "".join(f"s{i}" for i in word) if word else "e"
 
 
-@lru_cache(maxsize=None)
 def inverse(w: WeylElement) -> WeylElement:
     perm = w.perm
     inv = sorted(range(len(perm)), key=perm.__getitem__)
@@ -228,24 +238,13 @@ def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
 def min_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
     """The minimal length representative of w W_P."""
     _check_levi(w.system, p)
-    cur = w
-    while True:
-        ds = right_descents(cur) & p.levi
-        if not ds:
-            return cur
-        cur = _right_mult(cur, min(ds))
+    return _walk(w, lambda cur: right_descents(cur) & p.levi)
 
 
-@lru_cache(maxsize=None)
 def max_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
     """The maximal length representative of w W_P (= min rep times w_0 of W_P)."""
     _check_levi(w.system, p)
-    cur = w
-    while True:
-        ups = p.levi - right_descents(cur)
-        if not ups:
-            return cur
-        cur = _right_mult(cur, min(ups))
+    return _walk(w, lambda cur: p.levi - right_descents(cur))
 
 
 @lru_cache(maxsize=None)

@@ -286,6 +286,7 @@ def test_criterion_8d_json_determinism():
         peterson.graph_to_json(peterson.eventual_translates(w, p)),
         sort_keys=True,
     )
+    peterson.eventual_translates.cache_clear()  # build anew, not the memoised graph
     second = json.dumps(
         peterson.graph_to_json(peterson.eventual_translates(w, p)),
         sort_keys=True,

@@ -200,6 +200,7 @@ def test_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(sweeps, "covexillary_perms", no_sweep)
     for name in (
+        "cominuscule_sweep",
         "theorem2_sweep",
         "singular_agreement_sweep",
         "coess_formula_sweep",

@@ -91,7 +91,9 @@ class TestA3Graph:
         assert Counter(s.z for s in a3_graph.nodes)[identity(a3)] == 4
 
     def test_deterministic_rerun(self, a3_w, a3_parabolic, a3_graph):
+        eventual_translates.cache_clear()  # build anew, not the memoised graph
         again = eventual_translates(a3_w, a3_parabolic)
+        assert again is not a3_graph
         assert list(again.nodes) == list(a3_graph.nodes)
         assert list(again.edges) == list(a3_graph.edges)
 

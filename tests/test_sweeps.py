@@ -9,6 +9,7 @@ from nashblowup import nashcore, peterson, rootsystem, sweeps, weyl
 from nashblowup.sweeps import (
     SweepOutcome,
     cominuscule_data,
+    cominuscule_sweep,
     conjecture_sweep,
     coess_formula_sweep,
     covexillary_perms,
@@ -58,6 +59,18 @@ def test_singular_agreement_sweep_small():
     out = singular_agreement_sweep(max_rank_a=3, max_rank_bc=2, include_d4=False)
     assert out.ok
     assert out.checked == 30
+
+
+def test_cominuscule_sweep_builds_one_graph_per_datum():
+    peterson.eventual_translates.cache_clear()
+    bij, sing = cominuscule_sweep(3, 2, False)
+    info = peterson.eventual_translates.cache_info()
+    # verify_theorem2 builds the graph, ck_singular_points reuses it
+    assert (info.misses, info.hits) == (30, 30)
+    assert (bij.label, bij.checked, bij.failures) == ("translate bijection", 30, [])
+    assert (sing.label, sing.checked, sing.failures) == (
+        "singular locus agreement", 30, []
+    )
 
 
 def test_coess_formula_sweep_small():

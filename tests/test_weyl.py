@@ -455,3 +455,27 @@ def test_element_set_order_ignores_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_wrong_product_raises_instead_of_hanging():
+    # products composed in the wrong order send the descent walk of
+    # longest_element in circles; the walk is capped at the longest length.
+    # A child process keeps the wrong cache entries out of this one.
+    script = (
+        "from nashblowup import rootsystem, weyl\n"
+        "right = weyl.multiply\n"
+        "weyl.multiply = lambda u, v: right(v, u)\n"
+        "try:\n"
+        "    weyl.longest_element(rootsystem.root_system('A', 3))\n"
+        "except rootsystem.InvariantViolation as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(weyl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: descent walk"), proc.stdout
