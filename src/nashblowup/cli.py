@@ -49,6 +49,9 @@ from .weyl import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_SWEEP_N = 8  # the covexillary sweep walks all n! permutations of S_n
+# the largest rank of --rank or of a --perm's S_n; a query at rank 16 (A16 has
+# 272 roots) takes under a second on a 2-vCPU Xeon, and cost grows with rank
+MAX_RANK = 16
 # the largest verify ranges; at each, one sweep takes under a minute on a
 # 2-vCPU Xeon, and one step further multiplies its time by 5 to 10
 VERIFY_LIMITS = {
@@ -85,45 +88,49 @@ def _parse_perm(text: str) -> grassmann.Permutation:
     return perm
 
 
-def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
-    if args.type is None or args.rank is None:
-        # a type-A permutation input determines the type and rank
-        if args.perm is None:
-            raise UsageError("need --type and --rank (or a type-A --perm)")
-        args.type = "A"
-        args.rank = len(_parse_perm(args.perm)) - 1
-    if args.levi is None and args.node is None and args.perm is not None:
-        k = grassmann.grassmannian_descent(_parse_perm(args.perm))
-        if k:
-            args.node = k
+def _cartan_type(family: str, rank: int) -> CartanType:
+    if rank > MAX_RANK:
+        raise UsageError(f"rank {rank}: at most {MAX_RANK} is supported")
     try:
-        ct = CartanType(args.type.upper(), args.rank)
+        return CartanType(family.upper(), rank)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
+    perm = None if args.perm is None else _parse_perm(args.perm)
+    if args.type is None or args.rank is None:
+        # a type-A permutation input determines the type and rank
+        if perm is None:
+            raise UsageError("need --type and --rank (or a type-A --perm)")
+        args.type = "A"
+        args.rank = len(perm) - 1
+    if args.levi is None and args.node is None and perm is not None:
+        k = grassmann.grassmannian_descent(perm)
+        if k:
+            args.node = k
+    ct = _cartan_type(args.type, args.rank)
     rs = build(ct)
-    if args.levi is not None:
-        levi = frozenset(_parse_ints(args.levi, "levi set"))
-    else:
+    levi = None if args.levi is None else frozenset(_parse_ints(args.levi, "levi set"))
+    if levi is None and args.node is None:
         # default: the unique maximal choice when only one node is cominuscule
         nodes = sorted(rs.cominuscule_simples)
-        if len(nodes) != 1 and args.node is None:
+        if len(nodes) != 1:
             raise UsageError(
                 f"{ct} has several cominuscule nodes {nodes}; "
                 "pass --node or --levi explicitly"
             )
-        node = args.node if args.node is not None else nodes[0]
-        levi = frozenset(range(1, rs.rank + 1)) - {node}
+        args.node = nodes[0]
     if args.node is not None:
         expect = frozenset(range(1, rs.rank + 1)) - {args.node}
-        if args.levi is not None and levi != expect:
+        if levi is not None and levi != expect:
             raise UsageError("--levi and --node disagree")
         levi = expect
     p = ParabolicSubset(levi)
 
-    if args.perm is not None:
+    if perm is not None:
         if ct.family != "A":
             raise UsageError("--perm only makes sense in type A")
-        perm = _parse_perm(args.perm)
         if len(perm) != rs.rank + 1:
             raise UsageError(
                 f"permutation of length {len(perm)} does not match A{rs.rank}"
@@ -163,10 +170,11 @@ def _check_jobs(jobs: int) -> None:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(f"--output {args.output}: {exc.strerror or exc}") from None
     else:
         try:
             sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -421,10 +429,7 @@ def cmd_types(args: argparse.Namespace) -> int:
     if args.type:
         if args.rank is None:
             raise UsageError("--type needs --rank")
-        try:
-            specs = [CartanType(args.type.upper(), args.rank)]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        specs = [_cartan_type(args.type, args.rank)]
     else:
         specs = [
             CartanType("A", 3),

@@ -22,7 +22,6 @@ from .rootsystem import Root, RootSystem, format_root
 from .weyl import (
     ParabolicSubset,
     WeylElement,
-    bruhat_leq,
     format_word,
     interval_min_reps,
     inverse,
@@ -96,12 +95,7 @@ class SchubertDatum:
 @lru_cache(maxsize=None)
 def delta_w(d: SchubertDatum) -> frozenset[int]:
     """Levi indices whose simple root stays simple under w."""
-    rs = d.system
-    out = []
-    for i in sorted(d.p.levi):
-        if rs.is_simple(d.w.column(i)):
-            out.append(i)
-    return frozenset(out)
+    return frozenset(i for i in d.p.levi if d.system.is_simple(d.w.column(i)))
 
 
 def tangent_roots(d: SchubertDatum) -> frozenset[Root]:
@@ -142,11 +136,12 @@ def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:
         raise ValueError("v belongs to a different root system")
     if not is_min_coset_rep(v, d.p):
         raise ValueError(f"{format_word(reduced_word(v))} is not in W^P")
-    if not bruhat_leq(v, d.w):
+    fibers = nash_fibers(d)
+    if v not in fibers:
         raise ValueError(
             f"{format_word(reduced_word(v))} is not a fixed point of the variety"
         )
-    return nash_fibers(d)[v]
+    return fibers[v]
 
 
 def singular_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:

@@ -40,9 +40,7 @@ from . import nashcore
 from .weyl import (
     ParabolicSubset,
     WeylElement,
-    bruhat_leq,
     format_word,
-    interval_min_reps,
     is_min_coset_rep,
     left_inversions,
     min_coset_rep,
@@ -50,6 +48,7 @@ from .weyl import (
     reduced_word,
     reflection_from_root,
     _check_levi,
+    _ideal,
 )
 
 __all__ = [
@@ -314,7 +313,7 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
     q = nashcore.nash_parabolic(d)
     if not is_min_coset_rep(z, q):
         raise ValueError(f"{format_word(reduced_word(z))} is not in W^Q")
-    if not bruhat_leq(z, d.w):
+    if z not in nashcore.nash_fixed_points(d):
         raise ValueError(f"{format_word(reduced_word(z))} is not below w")
     perm = z.perm
     m = 0
@@ -343,9 +342,8 @@ def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
     states = set(graph.nodes)
     missing = tuple(sorted(states - set(images), key=_state_sort_key))
     extra = tuple(sorted(set(images) - states, key=_state_sort_key))
-    collisions = tuple(
-        (s, c) for s, c in sorted(images.items(), key=lambda t: _state_sort_key(t[0])) if c > 1
-    )
+    collided = sorted((s for s, c in images.items() if c > 1), key=_state_sort_key)
+    collisions = tuple((s, images[s]) for s in collided)
     ok = not missing and not extra and not collisions
     return Theorem2Report(
         ok=ok,
@@ -365,16 +363,13 @@ def ck_singular_points(w: WeylElement, p: ParabolicSubset) -> frozenset[WeylElem
     """Fixed points of X_w^P that are singular, by the translate-multiplicity test.
 
     u is singular iff some v >= u carries at least two distinct eventual
-    translates (v, N) != (v, N').
+    translates (v, N) != (v, N'): the singular locus is the ideal of W^P
+    below those v.
     """
     graph = eventual_translates(w, p)
     per_z = Counter(s.z for s in graph.nodes)
-    multi = [z for z, c in per_z.items() if c > 1]
-    return frozenset(
-        u
-        for u in interval_min_reps(w, p)
-        if any(bruhat_leq(u, v) for v in multi)
-    )
+    multi = frozenset(z for z, c in per_z.items() if c > 1)
+    return _ideal(multi, p.levi) if multi else frozenset()
 
 
 # -- rendering ---------------------------------------------------------------

@@ -9,8 +9,8 @@ sixth of a tuple's memory) up to 256 roots, tuples composed by ``map`` above;
 an element hashes as the tuple, which, unlike bytes, ignores PYTHONHASHSEED.
 Elements are interned per root system, so repeated products hit caches.
 
-Ideals {v in W^P : v <= w} are walked upwards from e inside W^P (Bjorner-
-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), never listing all of W.
+Ideals {v in W^P : v <= w} are walked down from w by covers inside W^P
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), never listing W.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
 s_1 s_3 s_2 and sends x to s_1(s_3(s_2(x))).  "Minimal coset representative"
@@ -249,7 +249,8 @@ def max_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order by the descent recursion."""
+    """Bruhat order by the descent recursion: a reference for the tests and the
+    benchmark's cache counters, called by no package code."""
     if v.system is not w.system:
         raise ValueError("Bruhat comparison across different root systems")
     if v.length == 0:
@@ -265,43 +266,45 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _ideal(w: WeylElement, levi: frozenset[int]) -> frozenset[WeylElement]:
-    # if z is in W^P, z <= w and s_i z < z, then s_i z is in W^P and below w,
-    # so stepping up from e by left multiplication reaches the whole ideal
-    rs = w.system
+def _ideal(
+    tops: frozenset[WeylElement], levi: frozenset[int]
+) -> frozenset[WeylElement]:
+    # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the covers
+    # y = r_gamma v in W^P with l(y) = l(v) - 1 reach all of it; such gamma
+    # are left inversions of v
+    found = list(tops)
+    rs = found[0].system
     n = len(rs.positive_roots)
     simples = _simple_indices(rs)
-    levi_idx = [simples[j - 1] for j in levi]
-    # lifting property: if s_i w < w and z <= w, then s_i z <= w
-    lifts = {i for i, k in enumerate(simples, 1) if k in w.perm[n:]}
-    found = [identity(rs)]
-    tried = set(found)
-    for z in found:  # grows while it is read: a breadth-first walk
-        for i, k in enumerate(simples, 1):
-            if z.perm.index(k) >= n:  # z^-1(alpha_i) < 0, so s_i z < z
+    levi_idx = [simples[i - 1] for i in levi]
+    seen = set(found)
+    for v in found:  # grows while it is read: a breadth-first walk
+        for j in v.perm[n:]:
+            if j >= n:  # v sends this negative root to a negative one
                 continue
-            y = multiply(simple_reflection(rs, i), z)
-            if y in tried:
-                continue
-            tried.add(y)
-            y._length = z.length + 1
-            if all(y.perm[j] < n for j in levi_idx):
-                if i in lifts or bruhat_leq(y, w):
-                    found.append(y)
+            y = multiply(reflection_from_root(rs, rs.roots[j]), v)
+            if (
+                y not in seen
+                and all(y.perm[k] < n for k in levi_idx)
+                and y.length == v.length - 1
+            ):
+                seen.add(y)
+                found.append(y)
     return frozenset(found)
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:
     """All v <= w: the walk of :func:`interval_min_reps` with an empty Levi."""
-    return _ideal(w, frozenset())
+    return _ideal(frozenset((w,)), frozenset())
 
 
 def interval_min_reps(
     w: WeylElement, p: ParabolicSubset, max_length: int | None = None
 ) -> frozenset[WeylElement]:
-    """{v in W^P : v <= w}, walked upwards inside W^P without listing W."""
+    """{v in W^P : v <= w}, walked down from w's minimal representative, which
+    bounds the same ideal because projection to W^P keeps Bruhat order."""
     _check_levi(w.system, p)  # max_length is ignored, kept for old callers
-    return _ideal(w, p.levi)
+    return _ideal(frozenset((min_coset_rep(w, p),)), p.levi)
 
 
 @lru_cache(maxsize=None)

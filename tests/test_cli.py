@@ -10,7 +10,7 @@ import pytest
 
 import nashblowup
 from nashblowup import peterson, sweeps
-from nashblowup.cli import VERIFY_LIMITS, main
+from nashblowup.cli import MAX_RANK, VERIFY_LIMITS, main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
 E7_TOP = "7,6,5,4,3,2,4,5,6,7,1,3,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7"
@@ -189,7 +189,7 @@ def test_types_single(capsys):
     assert "cominuscule nodes: [1]" in out
 
 
-def test_usage_errors(capsys, monkeypatch):
+def test_usage_errors(capsys, monkeypatch, tmp_path):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
@@ -252,11 +252,26 @@ def test_usage_errors(capsys, monkeypatch):
         ["verify", "--skip-translates", "--skip-fibers", "--max-n-coess", "1"],
         ["verify", "--skip-translates", "--skip-coess", "--max-n-fibers", "1"],
         ["verify", "--max-n-fibers", "0"],
+        # a report path in a directory that does not exist
+        ["nash", *A3_ARGS, "--output", str(tmp_path / "missing" / "report.txt")],
+        # ranks above the bound, refused before the root system is built
+        ["types", "--type", "A", "--rank", str(MAX_RANK + 1)],
+        ["nash", "--type", "A", "--rank", str(MAX_RANK + 1), "--node", "1",
+         "--word", "1"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_rank_bound_keeps_the_tuple_table_path(capsys):
+    # A16 has 272 roots, past the 256 that fit a bytes table
+    assert MAX_RANK >= 16
+    argv = ["nash", "--type", "A", "--rank", "16", "--node", "1", "--word", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "fixed points: 2" in out
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -130,6 +130,13 @@ def test_fiber_requires_base_point(a3, a3_datum):
         nash_fiber(weyl.simple_reflection(a3, 1), a3_datum)
 
 
+def test_fiber_requires_a_fixed_point_of_the_variety(a3, a3_parabolic, a3_datum):
+    # the top of W^P is in W^P but not below w = s1s3s2
+    top = weyl.min_coset_rep(weyl.longest_element(a3), a3_parabolic)
+    with pytest.raises(ValueError, match="not a fixed point of the variety"):
+        nash_fiber(top, a3_datum)
+
+
 def test_c3_top_cell_smooth():
     # the full flag-variety point w0^P: the variety is G/P itself
     rs = rootsystem.root_system("C", 3)

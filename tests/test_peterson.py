@@ -281,6 +281,12 @@ def test_theorem2_map_golden(a3, a3_datum, a3_w):
     assert state.weights == frozenset({neg(A12), neg(A23), neg(A123)})
 
 
+def test_theorem2_map_requires_a_point_below_w(a3, a3_datum):
+    # Q is the Borel here, so w0 is in W^Q, but it is not below w = s1s3s2
+    with pytest.raises(ValueError, match="not below w"):
+        theorem2_map(weyl.longest_element(a3), a3_datum)
+
+
 def test_verify_theorem2_a3(a3_datum):
     report = verify_theorem2(a3_datum)
     assert report.ok

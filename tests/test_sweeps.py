@@ -5,7 +5,9 @@ enumeration sizes and the outcome bookkeeping so a silent change in the
 iteration space cannot slip through.
 """
 
-from nashblowup import nashcore, peterson, rootsystem, sweeps, weyl
+from collections import Counter
+
+from nashblowup import nashcore, peterson, rootsystem, sweeps, weyl, zelevinsky
 from nashblowup.sweeps import (
     SweepOutcome,
     cominuscule_data,
@@ -71,6 +73,45 @@ def test_cominuscule_sweep_builds_one_graph_per_datum():
     assert (sing.label, sing.checked, sing.failures) == (
         "singular locus agreement", 30, []
     )
+
+
+def test_cover_walks_match_the_bruhat_oracle_on_every_sweep_datum(weyl_group):
+    # the fixed points and the translate-route singular locus, which the
+    # package walks down by Bruhat covers, against whole-group filters by
+    # the pairwise bruhat_leq
+    groups = {}
+    data = list(cominuscule_data())
+    assert len(data) == 160
+    for d in data:
+        if d.system not in groups:
+            groups[d.system] = weyl_group(d.system)
+        group = groups[d.system]
+        q = nashcore.nash_parabolic(d)
+        assert nashcore.nash_fixed_points(d) == {
+            z
+            for z in group
+            if weyl.is_min_coset_rep(z, q) and weyl.bruhat_leq(z, d.w)
+        }
+        per_z = Counter(s.z for s in peterson.eventual_translates(d.w, d.p).nodes)
+        multi = [z for z, c in per_z.items() if c > 1]
+        assert peterson.ck_singular_points(d.w, d.p) == {
+            u
+            for u in group
+            if weyl.is_min_coset_rep(u, d.p)
+            and any(weyl.bruhat_leq(u, v) for v in multi)
+        }
+
+
+def test_package_paths_make_no_bruhat_test(a3, a3_w, a3_datum):
+    # membership in a walked ideal answers every "v <= w" of the package;
+    # clear the walk caches too, so that each path runs in full
+    for cached in (weyl.bruhat_leq, weyl._ideal, peterson.eventual_translates):
+        cached.cache_clear()
+    cominuscule_sweep(3, 2, False)
+    zelevinsky.conjecture_check((2, 5, 3, 1, 4))
+    nashcore.nash_fiber(weyl.identity(a3), a3_datum)
+    peterson.theorem2_map(a3_w, a3_datum)
+    assert weyl.bruhat_leq.cache_info().currsize == 0
 
 
 def test_coess_formula_sweep_small():

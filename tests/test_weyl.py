@@ -210,6 +210,25 @@ def test_interval_min_reps_matches_group_filter(weyl_group, case):
         assert lower_interval(w) == expected
 
 
+def test_ideal_of_incomparable_tops_is_the_union():
+    rs = rootsystem.root_system("B", 3)
+    levi = frozenset({2})
+    reps = sorted(
+        interval_min_reps(longest_element(rs), ParabolicSubset(levi)),
+        key=lambda v: (v.length, reduced_word(v)),
+    )
+    pairs = [
+        (u, v)
+        for u, v in itertools.combinations(reps, 2)
+        if not bruhat_leq(u, v) and not bruhat_leq(v, u)
+    ]
+    assert len(pairs) > 10
+    for u, v in pairs:
+        below_u = weyl._ideal(frozenset({u}), levi)
+        below_v = weyl._ideal(frozenset({v}), levi)
+        assert weyl._ideal(frozenset({u, v}), levi) == below_u | below_v
+
+
 def _order(rs, levi):
     """|W_levi| by Macdonald's formula: the product over the positive roots
     of the Levi of (ht a + 1) / ht a."""
