@@ -79,7 +79,10 @@ def _parse_perm(text: str) -> grassmann.Permutation:
         vals = _parse_ints(text, "permutation")
     else:
         # compact one-line form, only unambiguous for n <= 9
-        vals = [int(ch) for ch in text.strip() if ch.isdigit()]
+        digits = text.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise UsageError(f"could not parse permutation from {text!r}")
+        vals = [int(ch) for ch in digits]
     perm = tuple(vals)
     try:
         grassmann.check_permutation(perm)
@@ -112,6 +115,11 @@ def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
     ct = _cartan_type(args.type, args.rank)
     rs = build(ct)
     levi = None if args.levi is None else frozenset(_parse_ints(args.levi, "levi set"))
+    bad = sorted(i for i in levi or () if not 1 <= i <= rs.rank)
+    if bad:
+        raise UsageError(f"levi nodes {bad} outside 1..{rs.rank}")
+    if args.node is not None and not 1 <= args.node <= rs.rank:
+        raise UsageError(f"node {args.node} outside 1..{rs.rank}")
     if levi is None and args.node is None:
         # default: the unique maximal choice when only one node is cominuscule
         nodes = sorted(rs.cominuscule_simples)
@@ -353,6 +361,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         w = _parse_perm(args.perm)
         if len(w) < 2:
             raise UsageError(f"--perm {args.perm}: the check needs n >= 2")
+        _cartan_type("A", len(w) - 1)  # bounds the rank by MAX_RANK
         if not grassmann.is_covexillary(w):
             raise UsageError(f"{w} is not covexillary")
         report = zelevinsky.conjecture_check(w)

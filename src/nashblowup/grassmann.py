@@ -238,22 +238,22 @@ def _blocks(n: int, levi: frozenset[int]) -> list[list[int]]:
     return blocks
 
 
-def min_coset_rep_perm(p: Permutation, levi: frozenset[int]) -> Permutation:
+def _block_sort(p: Permutation, levi: frozenset[int], reverse: bool) -> Permutation:
+    """Sort the values of p inside each levi block, ascending or descending."""
     n = check_permutation(p)
     out = list(p)
     for block in _blocks(n, levi):
-        vals = sorted(out[block[0] - 1 : block[-1]])
-        out[block[0] - 1 : block[-1]] = vals
+        lo, hi = block[0] - 1, block[-1]
+        out[lo:hi] = sorted(out[lo:hi], reverse=reverse)
     return tuple(out)
+
+
+def min_coset_rep_perm(p: Permutation, levi: frozenset[int]) -> Permutation:
+    return _block_sort(p, levi, reverse=False)
 
 
 def max_coset_rep_perm(p: Permutation, levi: frozenset[int]) -> Permutation:
-    n = check_permutation(p)
-    out = list(p)
-    for block in _blocks(n, levi):
-        vals = sorted(out[block[0] - 1 : block[-1]], reverse=True)
-        out[block[0] - 1 : block[-1]] = vals
-    return tuple(out)
+    return _block_sort(p, levi, reverse=True)
 
 
 def grassmannian_max_rep(p: Permutation, k: int) -> Permutation:

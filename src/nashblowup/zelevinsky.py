@@ -10,8 +10,8 @@ for the parabolic generated by its descents, has sortable coessential boxes
 
 where E is the fixed reference flag and V runs over the variety.  Both
 project to X_w^P; over a torus-fixed point every fiber is a finite set of
-coordinate-subspace chains, counted here by a bitmask dynamic program over
-subset containments.
+coordinate-subspace chains.  The steps of both conditions are nested, so
+each count is a product of binomial coefficients, one per box.
 
 The conjecture check compares, at every fixed point, the product of the two
 fiber counts with the number of eventual Peterson translates of the minimal
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from .grassmann import (
     CoessBox,
@@ -110,24 +110,6 @@ def schubert_fixed_points(d: CovexillaryDatum) -> list[tuple[Permutation, CoordF
     return out
 
 
-def _mask(vals) -> int:
-    m = 0
-    for x in vals:
-        m |= 1 << (x - 1)
-    return m
-
-
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _validate_flag(flag: CoordFlag, d: CovexillaryDatum) -> None:
     if len(flag.steps) != len(d.boxes):
         raise ValueError("flag has the wrong number of steps")
@@ -149,49 +131,37 @@ def _validate_flag(flag: CoordFlag, d: CovexillaryDatum) -> None:
 
 def z_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
     """Fixed points of the Z-fiber: chains T_i of size r_i inside
-    {1..p_i} intersect S_{q_i}."""
+    U_i = {1..p_i} intersect S_{q_i}.
+
+    The U_i grow with i, so each T_i adds r_i - r_{i-1} elements of
+    U_i minus T_{i-1}, which has |U_i| - r_{i-1} of them.
+    """
     _validate_flag(flag, d)
-    counts: dict[int, int] = {0: 1}
-    prev_r = 0
+    count, prev_r = 1, 0
     for step, box in zip(flag.steps, d.boxes):
-        upper = _mask(step) & _mask(range(1, box.p + 1))
-        need = box.r - prev_r
-        nxt: dict[int, int] = {}
-        for t_mask, ways in counts.items():
-            avail = _bit_list(upper & ~t_mask)
-            for extra in combinations(avail, need):
-                new = t_mask
-                for b in extra:
-                    new |= 1 << b
-                nxt[new] = nxt.get(new, 0) + ways
-        counts = nxt
+        upper = sum(1 for x in step if x <= box.p)
+        count *= comb(upper - prev_r, box.r - prev_r)
         prev_r = box.r
-    return sum(counts.values())
+    return count
 
 
 def zdual_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
-    """Fixed points of the Z'-fiber: chains T_i of size q_i + p_i - r_i
-    containing {1..p_i} union S_{q_i}."""
+    """Fixed points of the Z'-fiber: chains T_i of size s_i = q_i + p_i - r_i
+    containing L_i = {1..p_i} union S_{q_i}.
+
+    The L_i grow with i, so the complements of the T_i form a chain inside
+    the shrinking complements of the L_i.  Counted from the top, with
+    s_{m+1} = n, T_i drops s_{i+1} - s_i elements of T_{i+1} minus L_i,
+    which has s_{i+1} - |L_i| of them.
+    """
     _validate_flag(flag, d)
-    full = _mask(range(1, d.n + 1))
-    counts: dict[int, int] = {0: 1}
-    for step, box in zip(flag.steps, d.boxes):
-        lower = _mask(step) | _mask(range(1, box.p + 1))
+    count, above = 1, d.n
+    for step, box in zip(reversed(flag.steps), reversed(d.boxes)):
+        lower = box.p + sum(1 for x in step if x > box.p)
         size = box.q + box.p - box.r
-        nxt: dict[int, int] = {}
-        for t_mask, ways in counts.items():
-            base = t_mask | lower
-            need = size - bin(base).count("1")
-            if need < 0:
-                continue
-            avail = _bit_list(full & ~base)
-            for extra in combinations(avail, need):
-                new = base
-                for b in extra:
-                    new |= 1 << b
-                nxt[new] = nxt.get(new, 0) + ways
-        counts = nxt
-    return sum(counts.values())
+        count *= comb(above - lower, above - size)
+        above = size
+    return count
 
 
 def fiberproduct_count(flag: CoordFlag, d: CovexillaryDatum) -> int:

@@ -224,6 +224,12 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     )
     assert code == 2
     assert "s2s1" in err  # suggests the right representative
+    # a node outside 1..rank is named, not read as a wrong representative
+    code, _, err = run(
+        capsys, ["nash", "--type", "A", "--rank", "3", "--node", "9", "--word", "1"]
+    )
+    assert code == 2
+    assert "node 9 outside 1..3" in err
     # rank missing
     code, _, err = run(capsys, ["types", "--type", "B"])
     assert code == 2
@@ -258,6 +264,15 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["types", "--type", "A", "--rank", str(MAX_RANK + 1)],
         ["nash", "--type", "A", "--rank", str(MAX_RANK + 1), "--node", "1",
          "--word", "1"],
+        ["conjecture", "--perm", ",".join(map(str, range(1, MAX_RANK + 3)))],
+        # levi and node indices outside 1..rank, refused before any Weyl call
+        ["nash", "--type", "A", "--rank", "3", "--levi", "0,1", "--word", "1"],
+        ["nash", "--type", "A", "--rank", "3", "--levi", "1,4", "--word", "1"],
+        ["nash", "--type", "A", "--rank", "3", "--node", "9", "--word", "1"],
+        ["nash", "--type", "A", "--rank", "3", "--node", "0", "--word", "1"],
+        # a compact permutation takes ASCII digits only
+        ["nash", "--perm", "2x13"],
+        ["grassmann", "--perm", "\u00b21"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2

@@ -1,7 +1,7 @@
 """Chain-counting fibers of the paired small resolutions.
 
-The bitmask dynamic programs are compared against literal enumeration of
-subset chains, and the per-point translate counts against a self-contained
+The closed-form binomial products are compared against literal enumeration
+of subset chains, and the per-point translate counts against a self-contained
 type-A recount written on one-line permutations.  The per-point comparison
 with translation counts is then frozen for the S5 case (5,2,3,4,1), which
 disagrees at the identity.
@@ -278,16 +278,18 @@ def test_dp_matches_enumeration_vp8():
         assert zdual_fiber_count(flag, d) == chains_zdual(flag, d)
 
 
-def test_dp_matches_enumeration_all_s4():
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_counts_match_enumeration_all_sn(n):
+    """Every fixed point of every covexillary w of S_n (5,146 on S_6)."""
     from nashblowup import grassmann
 
-    for w in itertools.permutations((1, 2, 3, 4)):
+    for w in itertools.permutations(range(1, n + 1)):
         if not grassmann.is_covexillary(w):
             continue
         d = covexillary_datum(w)
         for _, flag in schubert_fixed_points(d):
-            assert z_fiber_count(flag, d) == chains_z(flag, d)
-            assert zdual_fiber_count(flag, d) == chains_zdual(flag, d)
+            assert z_fiber_count(flag, d) == chains_z(flag, d), (w, flag)
+            assert zdual_fiber_count(flag, d) == chains_zdual(flag, d), (w, flag)
 
 
 def test_dp_matches_enumeration_pattern_mismatches():
