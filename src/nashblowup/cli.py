@@ -23,10 +23,10 @@ line, no traceback.  Output cut short by the reader (``| head``) is not an error
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
 from . import grassmann, nashcore, peterson, sweeps, zelevinsky
@@ -177,15 +177,18 @@ def _check_jobs(jobs: int) -> None:
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
+    tail = "" if text.endswith("\n") else "\n"  # text + tail would copy text
     if getattr(args, "output", None):
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
+                fh.write(tail)
         except OSError as exc:
             raise UsageError(f"--output {args.output}: {exc.strerror or exc}") from None
     else:
         try:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.write(text)
+            sys.stdout.write(tail)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader is gone; the flush at shutdown must not raise again
@@ -194,8 +197,44 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             os.close(devnull)
 
 
+def _json_value(x: object, pad: str) -> str:
+    """x as ``json.dumps(x, indent=2, sort_keys=True)`` renders it at the
+    depth whose newline-plus-indent is ``pad``: one join per container and
+    strings through the C escaper (the stdlib drops its C encoder whenever
+    ``indent`` is set, and then yields one string per token)."""
+    t = type(x)
+    if t is str:
+        return _json_str(x)
+    if t is int:  # bool is not caught: its type is bool
+        return int.__repr__(x)
+    if t is bool or x is None:
+        return "null" if x is None else "true" if x else "false"
+    inner = pad + "  "
+    sep = "," + inner
+    parts = []
+    if t is list:
+        for v in x:
+            parts += (sep, _json_value(v, inner))
+        ends = "[]"
+    elif t is dict:
+        for k in sorted(x):  # _json_str raises TypeError on a key not a str
+            parts += (sep, _json_str(k), ": ", _json_value(x[k], inner))
+        ends = "{}"
+    else:
+        raise TypeError(f"{t.__name__} is not a JSON report value")
+    if not parts:
+        return ends
+    parts[0] = ends[0] + inner
+    parts.append(pad + ends[1])
+    return "".join(parts)
+
+
 def _json_dumps(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    Reports hold only dict with str keys, list, str, int, bool and None;
+    anything else, a float or a tuple included, raises TypeError."""
+    return _json_value(payload, "\n")
 
 
 # -- nash ------------------------------------------------------------------
@@ -314,6 +353,8 @@ def cmd_grassmann(args: argparse.Namespace) -> int:
     n = len(w)
     if args.n is not None and args.n != n:
         raise UsageError(f"--n {args.n} does not match a permutation of {n}")
+    if n > 1:  # S_1 has no root system; its one permutation is reported below
+        _cartan_type("A", n - 1)  # bounds the rank by MAX_RANK
     if w == tuple(range(1, n + 1)):
         _emit(
             "identity permutation: the variety is a point and its "

@@ -125,30 +125,30 @@ def _count_formula(ct: CartanType) -> int:
 
 
 def _generate_positives(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
-    """Closure of the simple roots under root strings.
+    """Positive roots, one height level at a time.
 
-    For a root beta and simple i, with p = max{k >= 0 : beta - k alpha_i is a
-    root}, beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0.
+    Every positive root of height h + 1 is beta + alpha_i for some root beta
+    of height h.  With p = max{k >= 0 : beta - k alpha_i is a root},
+    beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0, and every root
+    below beta is known once its level is reached, so only the newest level
+    is extended.
     """
     rank = len(cartan)
-    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots: set[Root] = set(simples)
-    grew = True
-    while grew:
-        grew = False
-        for beta in list(roots):
-            for i in range(rank):
-                pair = sum(cartan[i][j] * beta[j] for j in range(rank))
+    level = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    roots = set(level)
+    while level:
+        above = set()
+        for beta in level:
+            for i, row in enumerate(cartan):
+                pair = sum(a * b for a, b in zip(row, beta))
+                head, tail = beta[:i], beta[i + 1 :]
                 p = 0
-                down = tuple(b - s for b, s in zip(beta, simples[i]))
-                while down in roots:
+                while head + (beta[i] - p - 1,) + tail in roots:
                     p += 1
-                    down = tuple(b - s for b, s in zip(down, simples[i]))
                 if p - pair > 0:
-                    up = tuple(b + s for b, s in zip(beta, simples[i]))
-                    if up not in roots:
-                        roots.add(up)
-                        grew = True
+                    above.add(head + (beta[i] + 1,) + tail)
+        roots |= above
+        level = above
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
@@ -194,14 +194,11 @@ class RootSystem:
         )
 
     def _find_highest(self) -> Root:
-        tops = [
-            r
-            for r in self.positive_roots
-            if all(all(rc >= oc for rc, oc in zip(r, o)) for o in self.positive_roots)
-        ]
-        if len(tops) != 1:
+        top = self.positive_roots[-1]  # of greatest height
+        # dominating every positive root makes it the one maximal root
+        if not all(all(t >= c for t, c in zip(top, r)) for r in self.positive_roots):
             raise InvariantViolation(f"{self.cartan_type}: highest root not unique")
-        return tops[0]
+        return top
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"

@@ -146,8 +146,17 @@ def identity(system: RootSystem) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
-    """s_i, acting by s_i(alpha_j) = alpha_j - a[i][j] alpha_i."""
-    return reflection_from_root(system, system.simple_root(i))
+    """s_i, from the Cartan row: s_i(beta) = beta - (sum_j a[i][j] beta_j) alpha_i."""
+    system.simple_root(i)  # ValueError outside 1..rank
+    row = system.cartan_matrix[i - 1]
+    images = []
+    for beta in system.roots:
+        c = sum(a * b for a, b in zip(row, beta))
+        image = beta[: i - 1] + (beta[i - 1] - c,) + beta[i:]
+        if not system.is_root(image):
+            raise InvariantViolation(f"s{i} sent {beta} out of the root system")
+        images.append(image)
+    return _from_images(system, images)
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -311,9 +320,9 @@ def interval_min_reps(
 def reflection_from_root(system: RootSystem, alpha: Root) -> WeylElement:
     """The reflection r_alpha as a group element.
 
-    Only simple reflections are computed from ``system.reflect``.  r_{-alpha}
-    is r_alpha, and for a positive non-simple alpha some s_i lowers its
-    height, so r_alpha = s_i r_{s_i alpha} s_i.
+    Simple reflections come from the Cartan matrix.  r_{-alpha} is r_alpha,
+    and for a positive non-simple alpha some s_i lowers its height, so
+    r_alpha = s_i r_{s_i alpha} s_i.
     """
     k = system.index.get(alpha)
     if k is None:
@@ -322,7 +331,7 @@ def reflection_from_root(system: RootSystem, alpha: Root) -> WeylElement:
     if k >= n:  # system.roots lists -beta n places after beta
         return reflection_from_root(system, system.roots[k - n])
     if system.is_simple(alpha):
-        return _from_images(system, (system.reflect(alpha, b) for b in system.roots))
+        return simple_reflection(system, alpha.index(1) + 1)
     for i in range(1, system.rank + 1):
         s = simple_reflection(system, i)
         lower = system.roots[s.perm[k]]

@@ -9,7 +9,9 @@ over the identity, and a translation graph with a branch point.
 oracle for ``nashcore.nash_fiber``: it never projects W^Q onto W^P.
 ``weyl_group``, ``min_reps_perm`` and ``bruhat_leq_perm`` list whole groups
 or quotients and filter them, the brute-force routes that the W^P walk
-``weyl.interval_min_reps`` is checked against.
+``weyl.interval_min_reps`` is checked against.  ``positive_roots_closure``
+re-scans every known root until none is added, the route that the
+level-by-level ``rootsystem._generate_positives`` is checked against.
 """
 
 from collections import deque
@@ -107,6 +109,39 @@ def _bruhat_leq_perm(u, v):
         if any(a > b for a, b in zip(us, vs)):
             return False
     return True
+
+
+def _positive_roots_closure(cartan):
+    """Closure of the simple roots under root strings.
+
+    For a root beta and simple i, with p = max{k >= 0 : beta - k alpha_i is a
+    root}, beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0.
+    """
+    rank = len(cartan)
+    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(simples)
+    grew = True
+    while grew:
+        grew = False
+        for beta in list(roots):
+            for i in range(rank):
+                pair = sum(cartan[i][j] * beta[j] for j in range(rank))
+                p = 0
+                down = tuple(b - s for b, s in zip(beta, simples[i]))
+                while down in roots:
+                    p += 1
+                    down = tuple(b - s for b, s in zip(down, simples[i]))
+                if p - pair > 0:
+                    up = tuple(b + s for b, s in zip(beta, simples[i]))
+                    if up not in roots:
+                        roots.add(up)
+                        grew = True
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+@pytest.fixture(scope="session")
+def positive_roots_closure():
+    return _positive_roots_closure
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nashblowup
-from nashblowup import peterson, sweeps
+from nashblowup import cli, peterson, sweeps
 from nashblowup.cli import MAX_RANK, VERIFY_LIMITS, main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
@@ -265,6 +265,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["nash", "--type", "A", "--rank", str(MAX_RANK + 1), "--node", "1",
          "--word", "1"],
         ["conjecture", "--perm", ",".join(map(str, range(1, MAX_RANK + 3)))],
+        ["grassmann", "--perm", ",".join(map(str, [2, 1, *range(3, MAX_RANK + 3)]))],
+        ["grassmann", "--perm", ",".join(map(str, range(1, MAX_RANK + 3)))],
         # levi and node indices outside 1..rank, refused before any Weyl call
         ["nash", "--type", "A", "--rank", "3", "--levi", "0,1", "--word", "1"],
         ["nash", "--type", "A", "--rank", "3", "--levi", "1,4", "--word", "1"],
@@ -399,3 +401,64 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("digraph")
+
+
+TOP_CELLS = {
+    "A3": ["--type", "A", "--rank", "3", "--node", "2", "--word", "2,3,1,2"],
+    "B3": ["--type", "B", "--rank", "3", "--node", "1", "--word", "1,2,3,2,1"],
+    "C3": ["--type", "C", "--rank", "3", "--node", "3", "--word", "3,2,3,1,2,3"],
+    "D4": ["--type", "D", "--rank", "4", "--node", "1", "--word", "1,2,4,3,2,1"],
+    "E6": ["--type", "E", "--rank", "6", "--node", "1",
+           "--word", "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1"],
+}
+JSON_COMMANDS = {
+    "verify": ["verify"],
+    "conjecture-n5": ["conjecture", "--n", "5"],
+    "conjecture-perm": ["conjecture", "--perm", "5,2,3,4,1"],
+    "grassmann": ["grassmann", "--perm", "25713468", "--k", "3"],
+    "nash-A3": ["nash", *A3_ARGS],
+    "nash-E6": ["nash", *TOP_CELLS["E6"]],
+    **{f"peterson-{cell}": ["peterson", *args] for cell, args in TOP_CELLS.items()},
+}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS)
+def test_json_report_matches_stdlib_encoder(capsys, monkeypatch, argv):
+    # every --format json report goes through cli._json_dumps; its bytes are
+    # those of the stdlib encoder with indent=2 and sorted keys
+    payloads = []
+    own = cli._json_dumps
+
+    def recorded(payload):
+        payloads.append(payload)
+        return own(payload)
+
+    monkeypatch.setattr(cli, "_json_dumps", recorded)
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code in (0, 1)
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
+def test_json_encoder_edge_cases():
+    payload = {
+        "z": [[], {}, [[[]]], {"a": {"b": []}}],
+        "strings": ['say "hi"', "back\\slash", "tab\tnl\nnul\x00\x1f", "é☃\U0001f600", ""],
+        "flags": [True, 1, False, 0, None, -1, -(10**30), 10**30],
+        "": {"B": 1, "a": 2, "A": 3, "é": 4, "\x00": 5},
+        "nested": {"k": [{"x": [True]}, []]},
+    }
+    for value in (payload, [], {}, "top", 7, True, None, [[]]):
+        assert cli._json_dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{1, 2}, 1.5, {1: "x"}, {"a": [{2: "y"}]}, ("t",), {"a": "b", 3: "c"}],
+    ids=["set", "float", "int-key", "nested-int-key", "tuple", "mixed-keys"],
+)
+def test_json_encoder_rejects_other_types(bad):
+    # the stdlib writes floats, int keys and tuples; no report holds one, so
+    # the encoder refuses them instead of guessing their bytes
+    with pytest.raises(TypeError):
+        cli._json_dumps([bad])

@@ -36,6 +36,34 @@ def test_positive_root_count_and_highest(family, rank, count, highest):
         assert all(b <= h for b, h in zip(beta, highest))
 
 
+CLOSURE_TYPES = [
+    (family, rank)
+    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(lo, 11)
+] + [("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_TYPES)
+def test_positive_roots_match_closure_oracle(positive_roots_closure, family, rank):
+    # level by level against re-scanning every root; ranks 11..16 would add
+    # about 3.5 s of oracle time (2-vCPU Xeon) and meet the same code path
+    rs = root_system(family, rank)
+    assert rs.positive_roots == positive_roots_closure(rs.cartan_matrix)
+
+
+def test_highest_root_must_dominate(monkeypatch):
+    # the last root is taken as the highest; here it is not, and is refused
+    generate = rootsystem._generate_positives
+
+    def last_two_swapped(cartan):
+        roots = generate(cartan)
+        return roots[:-2] + (roots[-1], roots[-2])
+
+    monkeypatch.setattr(rootsystem, "_generate_positives", last_two_swapped)
+    with pytest.raises(rootsystem.InvariantViolation, match="highest root"):
+        rootsystem.RootSystem(CartanType("B", 3))
+
+
 COMINUSCULE = {
     ("A", 4): {1, 2, 3, 4},
     ("B", 3): {1},

@@ -45,6 +45,17 @@ def test_simple_reflection_action(a3):
     assert s1.length == 1
 
 
+def test_simple_reflection_checks_its_images():
+    # a fresh system, not the interned A3, with a wrong Cartan row:
+    # s1(alpha_2) = alpha_2 + 2 alpha_1 is not a root
+    rs = rootsystem.RootSystem(rootsystem.CartanType("A", 3))
+    rs.cartan_matrix = ((2, -2, 0),) + rs.cartan_matrix[1:]
+    with pytest.raises(rootsystem.InvariantViolation, match="s1 sent"):
+        simple_reflection(rs, 1)
+    with pytest.raises(ValueError):
+        simple_reflection(rs, 4)
+
+
 def test_braid_relation(a3):
     lhs = from_word(a3, [1, 2, 1])
     rhs = from_word(a3, [2, 1, 2])
