@@ -88,12 +88,17 @@ def _parse_perm(text: str) -> grassmann.Permutation:
         grassmann.check_permutation(perm)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_rank(len(perm) - 1)  # S_n is the Weyl group of A_{n-1}
     return perm
 
 
-def _cartan_type(family: str, rank: int) -> CartanType:
+def _check_rank(rank: int) -> None:
     if rank > MAX_RANK:
         raise UsageError(f"rank {rank}: at most {MAX_RANK} is supported")
+
+
+def _cartan_type(family: str, rank: int) -> CartanType:
+    _check_rank(rank)
     try:
         return CartanType(family.upper(), rank)
     except ValueError as exc:
@@ -102,39 +107,27 @@ def _cartan_type(family: str, rank: int) -> CartanType:
 
 def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
     perm = None if args.perm is None else _parse_perm(args.perm)
-    if args.type is None or args.rank is None:
+    family, rank, node = args.type, args.rank, args.node
+    if family is None or rank is None:
         # a type-A permutation input determines the type and rank
         if perm is None:
             raise UsageError("need --type and --rank (or a type-A --perm)")
-        args.type = "A"
-        args.rank = len(perm) - 1
-    if args.levi is None and args.node is None and perm is not None:
-        k = grassmann.grassmannian_descent(perm)
-        if k:
-            args.node = k
-    ct = _cartan_type(args.type, args.rank)
+        family, rank = "A", len(perm) - 1
+    if node is None and perm is not None:
+        node = grassmann.grassmannian_descent(perm) or None
+    ct = _cartan_type(family, rank)
     rs = build(ct)
-    levi = None if args.levi is None else frozenset(_parse_ints(args.levi, "levi set"))
-    bad = sorted(i for i in levi or () if not 1 <= i <= rs.rank)
-    if bad:
-        raise UsageError(f"levi nodes {bad} outside 1..{rs.rank}")
-    if args.node is not None and not 1 <= args.node <= rs.rank:
-        raise UsageError(f"node {args.node} outside 1..{rs.rank}")
-    if levi is None and args.node is None:
+    if node is None:
         # default: the unique maximal choice when only one node is cominuscule
         nodes = sorted(rs.cominuscule_simples)
         if len(nodes) != 1:
             raise UsageError(
-                f"{ct} has several cominuscule nodes {nodes}; "
-                "pass --node or --levi explicitly"
+                f"{ct} has several cominuscule nodes {nodes}; pass --node"
             )
-        args.node = nodes[0]
-    if args.node is not None:
-        expect = frozenset(range(1, rs.rank + 1)) - {args.node}
-        if levi is not None and levi != expect:
-            raise UsageError("--levi and --node disagree")
-        levi = expect
-    p = ParabolicSubset(levi)
+        node = nodes[0]
+    if not 1 <= node <= rs.rank:
+        raise UsageError(f"node {node} outside 1..{rs.rank}")
+    p = ParabolicSubset(frozenset(range(1, rs.rank + 1)) - {node})
 
     if perm is not None:
         if ct.family != "A":
@@ -351,26 +344,16 @@ def _grassmann_payload(w: grassmann.Permutation, k: int) -> dict:
 def cmd_grassmann(args: argparse.Namespace) -> int:
     w = _parse_perm(args.perm)
     n = len(w)
-    if args.n is not None and args.n != n:
-        raise UsageError(f"--n {args.n} does not match a permutation of {n}")
-    if n > 1:  # S_1 has no root system; its one permutation is reported below
-        _cartan_type("A", n - 1)  # bounds the rank by MAX_RANK
-    if w == tuple(range(1, n + 1)):
+    k = grassmann.grassmannian_descent(w)
+    if k is None:
+        raise UsageError(f"{w} is not Grassmannian; it has more than one descent")
+    if k == 0:
         _emit(
             "identity permutation: the variety is a point and its "
             "Nash blow-up is trivially smooth",
             args,
         )
         return 0
-    k = args.k
-    if k is None:
-        k = grassmann.grassmannian_descent(w)
-        if k is None:
-            raise UsageError(
-                f"{w} is not Grassmannian; it has more than one descent"
-            )
-    if not grassmann.is_grassmannian(w, k) or k not in grassmann.descent_set(w):
-        raise UsageError(f"{w} is not Grassmannian with descent at {k}")
     payload = _grassmann_payload(w, k)
     if args.format == "json":
         _emit(_json_dumps(payload), args)
@@ -402,7 +385,6 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         w = _parse_perm(args.perm)
         if len(w) < 2:
             raise UsageError(f"--perm {args.perm}: the check needs n >= 2")
-        _cartan_type("A", len(w) - 1)  # bounds the rank by MAX_RANK
         if not grassmann.is_covexillary(w):
             raise UsageError(f"{w} is not covexillary")
         report = zelevinsky.conjecture_check(w)
@@ -476,9 +458,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_types(args: argparse.Namespace) -> int:
+    if (args.type is None) != (args.rank is None):
+        raise UsageError("--type needs --rank" if args.type else "--rank needs --type")
     if args.type:
-        if args.rank is None:
-            raise UsageError("--type needs --rank")
         specs = [_cartan_type(args.type, args.rank)]
     else:
         specs = [
@@ -508,15 +490,10 @@ def _add_datum_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--type", help="A, B, C, D, E; inferred from --perm")
     sub.add_argument("--rank", type=int)
     sub.add_argument(
-        "--levi", help="comma separated levi node indices, e.g. 1,3"
-    )
-    sub.add_argument(
         "--node",
         type=int,
-        help="cominuscule node omitted from the levi (alternative to --levi)",
-    )
-    sub.add_argument(
-        "--k", type=int, dest="node", help="synonym for --node in type A"
+        help="cominuscule node left out of the levi; by default a --perm's "
+        "descent or the type's only cominuscule node",
     )
     sub.add_argument("--word", help="reduced word for w, e.g. 1,3,2")
     sub.add_argument("--perm", help="one-line permutation (type A only)")
@@ -543,9 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pet.set_defaults(func=cmd_peterson)
 
     p_gr = subs.add_parser("grassmann", help="type-A Grassmannian report")
-    p_gr.add_argument("--perm", required=True)
-    p_gr.add_argument("--k", type=int, help="descent position")
-    p_gr.add_argument("--n", type=int, help="optional check on the length")
+    p_gr.add_argument("--perm", required=True, help="its one descent is k")
     p_gr.add_argument("--format", choices=("text", "json"), default="text")
     p_gr.add_argument("--output")
     p_gr.set_defaults(func=cmd_grassmann)

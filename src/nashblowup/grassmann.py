@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootsystem import InvariantViolation, RootSystem
-from .weyl import WeylElement, from_word, _simple_indices
+from .weyl import WeylElement, _from_indices, _simple_indices
 
 __all__ = [
     "Permutation",
@@ -117,23 +117,17 @@ def grassmannian_descent(p: Permutation) -> int | None:
 
 
 def perm_to_weyl(system: RootSystem, p: Permutation) -> WeylElement:
+    """The element sending each root e_a - e_b to e_{p(a)} - e_{p(b)}."""
     n = check_permutation(p)
     if system.cartan_type.family != "A" or system.rank != n - 1:
         raise ValueError(
             f"need root system A{n - 1} for a permutation of 1..{n}, got "
             f"{system.cartan_type}"
         )
-    work = list(p)
-    stripped: list[int] = []
-    while True:
-        for i in range(n - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                stripped.append(i + 1)
-                break
-        else:
-            break
-    return from_word(system, reversed(stripped))
+    index = _e_index(system)
+    return _from_indices(
+        system, (index[p[a - 1], p[b - 1]] for a, b in _e_pairs(system))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +147,12 @@ def _e_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
             prev = c
         pairs.append((plus, minus))
     return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _e_index(system: RootSystem) -> dict[tuple[int, int], int]:
+    """The root index k of e_a - e_b, keyed by (a, b): ``_e_pairs`` inverted."""
+    return {pair: k for k, pair in enumerate(_e_pairs(system))}
 
 
 def weyl_to_perm(w: WeylElement) -> Permutation:

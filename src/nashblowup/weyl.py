@@ -9,7 +9,7 @@ sixth of a tuple's memory) up to 256 roots, tuples composed by ``map`` above;
 an element hashes as the tuple, which, unlike bytes, ignores PYTHONHASHSEED.
 Elements are interned per root system, so repeated products hit caches.
 
-Ideals {v in W^P : v <= w} are walked down from w by covers inside W^P
+Ideals {v in W^P : v <= w} are walked down from w by reflections inside W^P
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), never listing W.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
@@ -130,10 +130,15 @@ def _simple_indices(system: RootSystem) -> tuple[int, ...]:
     return tuple(system.index[a] for a in system.simple_roots)
 
 
+def _from_indices(system: RootSystem, indices: Iterable[int]) -> WeylElement:
+    """The element sending system.roots[i] to system.roots[the i-th index]."""
+    pack = bytes if len(system.roots) <= 256 else tuple
+    return _element(system, pack(indices))
+
+
 def _from_images(system: RootSystem, images: Iterable[Root]) -> WeylElement:
     """The element sending system.roots[i] to the i-th image."""
-    pack = bytes if len(system.roots) <= 256 else tuple
-    return _element(system, pack(system.index[r] for r in images))
+    return _from_indices(system, (system.index[r] for r in images))
 
 
 @lru_cache(maxsize=None)
@@ -278,9 +283,10 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 def _ideal(
     tops: frozenset[WeylElement], levi: frozenset[int]
 ) -> frozenset[WeylElement]:
-    # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the covers
-    # y = r_gamma v in W^P with l(y) = l(v) - 1 reach all of it; such gamma
-    # are left inversions of v
+    # y = r_gamma v < v for each left inversion gamma of v, so every such y in
+    # W^P lies in the ideal; the covers of v in W^P are among them, and
+    # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
+    # reaches all of it
     found = list(tops)
     rs = found[0].system
     n = len(rs.positive_roots)
@@ -292,11 +298,7 @@ def _ideal(
             if j >= n:  # v sends this negative root to a negative one
                 continue
             y = multiply(reflection_from_root(rs, rs.roots[j]), v)
-            if (
-                y not in seen
-                and all(y.perm[k] < n for k in levi_idx)
-                and y.length == v.length - 1
-            ):
+            if y not in seen and all(y.perm[k] < n for k in levi_idx):
                 seen.add(y)
                 found.append(y)
     return frozenset(found)

@@ -7,6 +7,8 @@ over the identity, and a translation graph with a branch point.
 
 ``wp_fiber_search`` is a second route to a Nash fiber, kept here as an
 oracle for ``nashcore.nash_fiber``: it never projects W^Q onto W^P.
+``perm_to_weyl_by_word`` builds a permutation's element from a reduced word,
+the route that the one-table ``grassmann.perm_to_weyl`` is checked against.
 ``weyl_group``, ``min_reps_perm`` and ``bruhat_leq_perm`` list whole groups
 or quotients and filter them, the brute-force routes that the W^P walk
 ``weyl.interval_min_reps`` is checked against.  ``positive_roots_closure``
@@ -72,6 +74,21 @@ def _weyl_group(system):
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+def _perm_to_weyl_by_word(system, p):
+    """The element of a permutation, by bubble-sorting p into a word."""
+    work = list(p)
+    stripped = []
+    while True:
+        for i in range(len(work) - 1):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                stripped.append(i + 1)
+                break
+        else:
+            break
+    return weyl.from_word(system, reversed(stripped))
 
 
 def _min_reps_perm(n, levi):
@@ -147,6 +164,11 @@ def positive_roots_closure():
 @pytest.fixture(scope="session")
 def weyl_group():
     return _weyl_group
+
+
+@pytest.fixture(scope="session")
+def perm_to_weyl_by_word():
+    return _perm_to_weyl_by_word
 
 
 @pytest.fixture(scope="session")

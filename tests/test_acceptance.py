@@ -298,10 +298,10 @@ def test_criterion_8d_json_determinism():
 
 def test_criterion_8e_exit_code_contract(capsys):
     codes = (
-        main(["nash", "--type", "A", "--rank", "3", "--levi", "1,3",
+        main(["nash", "--type", "A", "--rank", "3", "--node", "2",
               "--word", "1,3,2"]),
         main(["conjecture", "--perm", "52341"]),
-        main(["nash", "--type", "F", "--rank", "4", "--levi", "1",
+        main(["nash", "--type", "F", "--rank", "4", "--node", "1",
               "--word", "1"]),
     )
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import nashblowup
 from nashblowup import cli, peterson, sweeps
 from nashblowup.cli import MAX_RANK, VERIFY_LIMITS, main
 
-A3_ARGS = ["--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,3,2"]
+A3_ARGS = ["--type", "A", "--rank", "3", "--node", "2", "--word", "1,3,2"]
 E7_TOP = "7,6,5,4,3,2,4,5,6,7,1,3,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7"
 
 
@@ -53,7 +54,7 @@ def test_nash_json(capsys):
 
 def test_nash_by_perm(capsys):
     code, out, _ = run(
-        capsys, ["nash", "--perm", "25713468", "--k", "3", "--format", "json"]
+        capsys, ["nash", "--perm", "25713468", "--format", "json"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -84,7 +85,7 @@ def test_peterson_json(capsys):
 
 
 def test_grassmann_text(capsys):
-    code, out, _ = run(capsys, ["grassmann", "--perm", "25713468", "--k", "3"])
+    code, out, _ = run(capsys, ["grassmann", "--perm", "25713468"])
     assert code == 0
     assert "partition: (4, 3, 1)" in out
     assert "F_1 <= E_2 <= F_4" in out
@@ -92,7 +93,7 @@ def test_grassmann_text(capsys):
 
 
 def test_grassmann_infers_k(capsys):
-    # a unique descent makes --k optional
+    # the permutation's one descent is k
     code, out, _ = run(capsys, ["grassmann", "--perm", "25713468"])
     assert code == 0
     assert "k: 3" in out
@@ -107,7 +108,7 @@ def test_grassmann_identity(capsys):
 def test_grassmann_json(capsys):
     code, out, _ = run(
         capsys,
-        ["grassmann", "--perm", "25713468", "--k", "3", "--format", "json"],
+        ["grassmann", "--perm", "25713468", "--format", "json"],
     )
     assert code == 0
     payload = json.loads(out)
@@ -209,18 +210,18 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     ):
         monkeypatch.setattr(sweeps, name, no_sweep)
     # malformed permutation
-    code, _, err = run(capsys, ["nash", "--perm", "1123", "--k", "1"])
+    code, _, err = run(capsys, ["nash", "--perm", "1123"])
     assert code == 2
     # unsupported type
     code, _, err = run(
-        capsys, ["nash", "--type", "F", "--rank", "4", "--levi", "1", "--word", "1"]
+        capsys, ["nash", "--type", "F", "--rank", "4", "--node", "1", "--word", "1"]
     )
     assert code == 2
     assert "error" in err
     # not a minimal representative
     code, _, err = run(
         capsys,
-        ["nash", "--type", "A", "--rank", "3", "--levi", "1,3", "--word", "1,2,1"],
+        ["nash", "--type", "A", "--rank", "3", "--node", "2", "--word", "1,2,1"],
     )
     assert code == 2
     assert "s2s1" in err  # suggests the right representative
@@ -267,11 +268,11 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["conjecture", "--perm", ",".join(map(str, range(1, MAX_RANK + 3)))],
         ["grassmann", "--perm", ",".join(map(str, [2, 1, *range(3, MAX_RANK + 3)]))],
         ["grassmann", "--perm", ",".join(map(str, range(1, MAX_RANK + 3)))],
-        # levi and node indices outside 1..rank, refused before any Weyl call
-        ["nash", "--type", "A", "--rank", "3", "--levi", "0,1", "--word", "1"],
-        ["nash", "--type", "A", "--rank", "3", "--levi", "1,4", "--word", "1"],
+        # node indices outside 1..rank, refused before any Weyl call
         ["nash", "--type", "A", "--rank", "3", "--node", "9", "--word", "1"],
         ["nash", "--type", "A", "--rank", "3", "--node", "0", "--word", "1"],
+        # --rank without --type, as --type without --rank, names the gap
+        ["types", "--rank", "5"],
         # a compact permutation takes ASCII digits only
         ["nash", "--perm", "2x13"],
         ["grassmann", "--perm", "\u00b21"],
@@ -280,6 +281,52 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+OPTIONS = {
+    "nash": ["--type", "--rank", "--node", "--word", "--perm", "--output",
+             "--format"],
+    "peterson": ["--type", "--rank", "--node", "--word", "--perm", "--output",
+                 "--format"],
+    "grassmann": ["--perm", "--format", "--output"],
+    "conjecture": ["--perm", "--n", "--jobs", "--format", "--output"],
+    "verify": [*VERIFY_LIMITS, "--skip-d4", "--conjecture-n", "--jobs",
+               "--skip-translates", "--skip-coess", "--skip-fibers", "--format",
+               "--output"],
+    "types": ["--type", "--rank", "--output"],
+}
+
+
+def test_option_surface(capsys):
+    # each input has one spelling; a new option must be added here on purpose
+    (subs,) = (
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    surface = {
+        name: [
+            flag for action in sub._actions if action.dest != "help"
+            for flag in action.option_strings
+        ]
+        for name, sub in subs.choices.items()
+    }
+    assert surface == OPTIONS
+    assert sum(map(len, surface.values())) == 37
+    # the removed spellings are unknown options, not hidden aliases
+    for argv in (
+        ["nash", *A3_ARGS, "--levi", "1,3"],
+        ["nash", "--perm", "25713468", "--k", "3"],
+        ["peterson", *A3_ARGS, "--levi", "1,3"],
+        ["peterson", "--perm", "25713468", "--k", "3"],
+        ["grassmann", "--perm", "25713468", "--k", "3"],
+        ["grassmann", "--perm", "25713468", "--n", "8"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_rank_bound_keeps_the_tuple_table_path(capsys):
@@ -415,7 +462,7 @@ JSON_COMMANDS = {
     "verify": ["verify"],
     "conjecture-n5": ["conjecture", "--n", "5"],
     "conjecture-perm": ["conjecture", "--perm", "5,2,3,4,1"],
-    "grassmann": ["grassmann", "--perm", "25713468", "--k", "3"],
+    "grassmann": ["grassmann", "--perm", "25713468"],
     "nash-A3": ["nash", *A3_ARGS],
     "nash-E6": ["nash", *TOP_CELLS["E6"]],
     **{f"peterson-{cell}": ["peterson", *args] for cell, args in TOP_CELLS.items()},

@@ -7,6 +7,7 @@ definitions and cross-checked against the Weyl-group model.
 
 import doctest
 import itertools
+import random
 
 import pytest
 
@@ -84,6 +85,22 @@ def test_perm_weyl_roundtrip_s6():
         assert weyl_to_perm(w) == p
         elements.add(w)
     assert len(elements) == 720  # all of W(A5): every element is read back
+
+
+def test_perm_to_weyl_matches_word_route(perm_to_weyl_by_word):
+    # the one-table image is the interned element a reduced word reaches
+    for n in range(2, 8):
+        rs = rootsystem.root_system("A", n - 1)
+        for p in itertools.permutations(range(1, n + 1)):
+            assert perm_to_weyl(rs, p) is perm_to_weyl_by_word(rs, p)
+    # A16 has 272 roots: its tables are tuples, not bytes
+    rs = rootsystem.root_system("A", 16)
+    rng = random.Random(17)
+    for _ in range(50):
+        p = tuple(rng.sample(range(1, 18), 17))
+        w = perm_to_weyl(rs, p)
+        assert type(w.perm) is tuple
+        assert w is perm_to_weyl_by_word(rs, p)
 
 
 def test_weyl_to_perm_rejects_inconsistent_action():
@@ -210,7 +227,7 @@ def test_config_description_rejects_a_box_off_column_k(monkeypatch, capsys):
     monkeypatch.setattr(grassmann, "coessential_set", lambda p: off)
     with pytest.raises(InvariantViolation):
         config_description(W_EX, K_EX)
-    assert main(["grassmann", "--perm", "25713468", "--k", "3"]) == 1
+    assert main(["grassmann", "--perm", "25713468"]) == 1
     assert capsys.readouterr().err.startswith("invariant violated:")
 
 
