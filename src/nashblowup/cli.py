@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_str
@@ -52,14 +53,11 @@ MAX_SWEEP_N = 8  # the covexillary sweep walks all n! permutations of S_n
 # the largest rank of --rank or of a --perm's S_n; a query at rank 16 (A16 has
 # 272 roots) takes under a second on a 2-vCPU Xeon, and cost grows with rank
 MAX_RANK = 16
-# the largest verify ranges; at each, one sweep takes under a minute on a
+# the largest verify ranges, and the largest rank per family in verify
+# --types (E has only E6 and E7); at each, one sweep takes under a minute on a
 # 2-vCPU Xeon, and one step further multiplies its time by 5 to 10
-VERIFY_LIMITS = {
-    "--max-rank-a": 8,
-    "--max-rank-bc": 7,
-    "--max-n-coess": 16,
-    "--max-n-fibers": 9,
-}
+VERIFY_LIMITS = {"--max-n-coess": 16, "--max-n-fibers": 9}
+TYPE_RANK_CAPS = {"A": 8, "B": 7, "C": 7, "D": 7, "E": 7}
 
 
 class UsageError(Exception):
@@ -105,7 +103,30 @@ def _cartan_type(family: str, rank: int) -> CartanType:
         raise UsageError(str(exc)) from None
 
 
+def _parse_types(text: str) -> list[CartanType]:
+    """A --types list such as ``A5,B3,E7``: distinct types within their caps."""
+    if not text:
+        raise UsageError("--types: the list is empty")
+    types = []
+    for token in text.split(","):
+        if not re.fullmatch(r"[A-Za-z][0-9]+", token):
+            raise UsageError(f"--types: {token!r} is not a family letter and a rank")
+        try:
+            ct = _cartan_type(token[0], int(token[1:]))
+        except ValueError:  # past int()'s digit limit, far above every cap
+            raise UsageError(f"--types: {token[:8]}...: rank too large") from None
+        cap = TYPE_RANK_CAPS[ct.family]
+        if ct.rank > cap:
+            raise UsageError(f"--types: {ct}: type {ct.family} allows rank <= {cap}")
+        if ct in types:
+            raise UsageError(f"--types: {ct} is listed twice")
+        types.append(ct)
+    return types
+
+
 def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
+    if args.perm is not None and args.word is not None:
+        raise UsageError("give one of --word or --perm, not both")
     perm = None if args.perm is None else _parse_perm(args.perm)
     family, rank, node = args.type, args.rank, args.node
     if family is None or rank is None:
@@ -156,17 +177,6 @@ def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
         return nashcore.SchubertDatum(system=rs, p=p, w=w)
     except (ValueError, nashcore.NotCominusculeError) as exc:
         raise UsageError(str(exc)) from None
-
-
-def _check_sweep_n(flag: str, n: int) -> None:
-    if not 2 <= n <= MAX_SWEEP_N:
-        raise UsageError(f"{flag} {n}: the sweep needs 2 <= n <= {MAX_SWEEP_N}")
-
-
-def _check_jobs(jobs: int) -> None:
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise UsageError(f"--jobs {jobs}: choose 1..{limit} worker processes")
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -378,10 +388,11 @@ def cmd_grassmann(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    if args.perm is None and args.n is None:
-        raise UsageError("need --perm or --n")
-    _check_jobs(args.jobs)
+    if (args.perm is None) == (args.n is None):
+        raise UsageError("give one of --perm or --n")
     if args.perm is not None:
+        if args.jobs is not None:
+            raise UsageError("--jobs runs the --n sweep; --perm checks one w")
         w = _parse_perm(args.perm)
         if len(w) < 2:
             raise UsageError(f"--perm {args.perm}: the check needs n >= 2")
@@ -407,8 +418,12 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             _emit("\n".join(lines), args)
         return 0 if report.ok else CHECK_FAILED
 
-    _check_sweep_n("--n", args.n)
-    outcome = sweeps.conjecture_sweep(args.n, jobs=args.jobs)
+    if not 2 <= args.n <= MAX_SWEEP_N:
+        raise UsageError(f"--n {args.n}: the sweep needs 2 <= n <= {MAX_SWEEP_N}")
+    jobs, cpus = 1 if args.jobs is None else args.jobs, os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise UsageError(f"--jobs {jobs}: choose 1..{cpus} worker processes")
+    outcome = sweeps.conjecture_sweep(args.n, jobs=jobs)
     if args.format == "json":
         _emit(_json_dumps(asdict(outcome)), args)
     else:
@@ -420,32 +435,21 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
+    types = _parse_types(args.types)
     for flag, limit in VERIFY_LIMITS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if not 0 <= value <= limit:
             raise UsageError(f"{flag} {value}: the sweep allows 0..{limit}")
-    empty = {  # a sweep that runs on a range holding no datum would pass idle
-        "--max-rank-a/--max-rank-bc/--skip-d4": not args.skip_translates
-        and args.max_rank_a < 1 and args.max_rank_bc < 2 and args.skip_d4,
-        "--max-n-coess": not args.skip_coess and args.max_n_coess < 2,
-        "--max-n-fibers": not args.skip_fibers and args.max_n_fibers < 2,
-    }
-    for flags in filter(empty.get, empty):
-        raise UsageError(f"{flags}: no datum in range; widen it or skip the sweep")
-    if args.conjecture_n:  # 0 skips the sweep
-        _check_sweep_n("--conjecture-n", args.conjecture_n)
+        # a sweep that runs on a range holding no datum would pass idle
+        if value < 2 and not getattr(args, "skip_" + flag.rsplit("-", 1)[1]):
+            raise UsageError(f"{flag}: no datum in range; widen it or skip the sweep")
     outcomes = []
     if not args.skip_translates:
-        outcomes.extend(
-            sweeps.cominuscule_sweep(args.max_rank_a, args.max_rank_bc, not args.skip_d4)
-        )
+        outcomes.extend(sweeps.cominuscule_sweep(types))
     if not args.skip_coess:
         outcomes.append(sweeps.coess_formula_sweep(args.max_n_coess))
     if not args.skip_fibers:
         outcomes.append(sweeps.fiberproduct_sweep(args.max_n_fibers))
-    if args.conjecture_n:
-        outcomes.append(sweeps.conjecture_sweep(args.conjecture_n, jobs=args.jobs))
     bad = [o for o in outcomes if not o.ok]
     if args.format == "json":
         _emit(_json_dumps([asdict(o) | {"ok": o.ok} for o in outcomes]), args)
@@ -530,23 +534,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument(
         "--n", type=int, help=f"sweep all covexillary in S_n, 2..{MAX_SWEEP_N}"
     )
-    p_conj.add_argument("--jobs", type=int, default=1)
+    p_conj.add_argument("--jobs", type=int, help="worker processes for --n, default 1")
     p_conj.add_argument("--format", choices=("text", "json"), default="text")
     p_conj.add_argument("--output")
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_ver = subs.add_parser("verify", help="small-rank verification sweeps")
+    p_ver.add_argument(
+        "--types",
+        default=",".join(map(str, sweeps.DEFAULT_TYPES)),
+        help="Cartan types of the cominuscule sweep, e.g. D5,E6 (default %(default)s)",
+    )
     for flag, default, what in (
-        ("--max-rank-a", 5, "largest rank of type A"),
-        ("--max-rank-bc", 3, "largest rank of types B and C"),
         ("--max-n-coess", 8, "largest n of the coessential sweep"),
         ("--max-n-fibers", 7, "largest n of the fiber-product sweep"),
     ):
         help_text = f"{what}, at most {VERIFY_LIMITS[flag]}"
         p_ver.add_argument(flag, type=int, default=default, help=help_text)
-    p_ver.add_argument("--skip-d4", action="store_true")
-    p_ver.add_argument("--conjecture-n", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--skip-translates", action="store_true")
     p_ver.add_argument("--skip-coess", action="store_true")
     p_ver.add_argument("--skip-fibers", action="store_true")
@@ -560,6 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ty.add_argument("--output")
     p_ty.set_defaults(func=cmd_types)
 
+    for each in (parser, *subs.choices.values()):
+        each.allow_abbrev = False  # an option has one spelling, never a prefix
     return parser
 
 

@@ -104,15 +104,6 @@ def _cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(ct: CartanType) -> tuple[int, ...]:
-    n = ct.rank
-    if ct.family == "B":
-        return tuple([2] * (n - 1) + [1])
-    if ct.family == "C":
-        return tuple([1] * (n - 1) + [2])
-    return tuple([1] * n)
-
-
 def _count_formula(ct: CartanType) -> int:
     n = ct.rank
     if ct.family == "A":
@@ -162,16 +153,6 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan_matrix = _cartan_matrix(cartan_type)
-        self.symmetrizer = _symmetrizer(cartan_type)
-        # symmetrized matrix, used for the pairing with arbitrary coroots
-        self._bilinear = tuple(
-            tuple(self.symmetrizer[i] * self.cartan_matrix[i][j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self._bilinear[i][j] != self._bilinear[j][i]:
-                    raise InvariantViolation(f"symmetrizer failed for {cartan_type}")
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
         )
@@ -224,32 +205,6 @@ class RootSystem:
     def in_levi(self, v: Root, levi: Iterable[int]) -> bool:
         """Whether the root lies in the subsystem spanned by the given simples."""
         return self.support(v) <= frozenset(levi)
-
-    # -- forms --------------------------------------------------------------
-
-    def pairing(self, beta: Root, alpha: Root) -> int:
-        """<beta, alpha^vee> = 2 (beta, alpha) / (alpha, alpha); always an integer."""
-        if not self.is_root(alpha):
-            raise ValueError(f"{alpha} is not a root of {self.cartan_type}")
-        n = self.rank
-        bil = self._bilinear
-        num = 2 * sum(
-            beta[i] * bil[i][j] * alpha[j] for i in range(n) for j in range(n)
-        )
-        den = sum(
-            alpha[i] * bil[i][j] * alpha[j] for i in range(n) for j in range(n)
-        )
-        if num % den:
-            raise InvariantViolation(f"pairing({beta}, {alpha}) is not integral")
-        return num // den
-
-    def reflect(self, alpha: Root, beta: Root) -> Root:
-        """Reflection in alpha applied to beta: beta - <beta, alpha^vee> alpha."""
-        c = self.pairing(beta, alpha)
-        out = tuple(b - c * a for b, a in zip(beta, alpha))
-        if beta in self._all_set and out not in self._all_set:
-            raise InvariantViolation(f"reflection left the root system: {out}")
-        return out
 
 
 @lru_cache(maxsize=None)

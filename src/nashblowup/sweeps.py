@@ -1,14 +1,14 @@
 """Exhaustive small-rank verification sweeps.
 
 Each sweep returns a :class:`SweepOutcome` whose ``failures`` list is empty
-exactly when the property holds on the whole range.  The sweeps are the
+exactly when the property holds on all of its data.  The sweeps are the
 library form of the CLI ``verify`` subcommand and of the acceptance tests.
 :func:`cominuscule_sweep` makes the first two checks in one walk over the
 cominuscule data, building each datum's translation graph once;
 :func:`theorem2_sweep` and :func:`singular_agreement_sweep` return its halves.
 
 * translate-bijection sweep: the closed-form map is a bijection onto the
-  eventual translates for every cominuscule datum in range;
+  eventual translates for every cominuscule datum of the given types;
 * singular-locus agreement: fiber-size singularity equals the
   translate-multiplicity criterion;
 * coessential closed form: the box formula for the Nash parabolic's maximal
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import grassmann, nashcore, peterson, zelevinsky
 from .rootsystem import CartanType, build, root_system
@@ -36,6 +36,7 @@ from .weyl import (
 
 __all__ = [
     "SweepOutcome",
+    "DEFAULT_TYPES",
     "cominuscule_data",
     "cominuscule_sweep",
     "theorem2_sweep",
@@ -63,22 +64,17 @@ class SweepOutcome:
         return f"{self.label}: checked {self.checked}, {verdict}"
 
 
-def _sweep_types(
-    max_rank_a: int, max_rank_bc: int, include_d4: bool
-) -> list[CartanType]:
-    types = [CartanType("A", n) for n in range(1, max_rank_a + 1)]
-    types += [CartanType("B", n) for n in range(2, max_rank_bc + 1)]
-    types += [CartanType("C", n) for n in range(2, max_rank_bc + 1)]
-    if include_d4:
-        types.append(CartanType("D", 4))
-    return types
+# the types the cominuscule sweeps take by default, verify --types included
+DEFAULT_TYPES = tuple(
+    CartanType(t[0], int(t[1])) for t in "A1 A2 A3 A4 A5 B2 B3 C2 C3 D4".split()
+)
 
 
 def cominuscule_data(
-    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
+    types: Sequence[CartanType] = DEFAULT_TYPES,
 ) -> Iterator[nashcore.SchubertDatum]:
-    """Every (type, cominuscule node, w in W^P) in the stated range."""
-    for ct in _sweep_types(max_rank_a, max_rank_bc, include_d4):
+    """Every (cominuscule node, w in W^P) of each type, in the given order."""
+    for ct in types:
         rs = build(ct)
         w0 = longest_element(rs)
         for node in sorted(rs.cominuscule_simples):
@@ -97,7 +93,7 @@ def _datum_tag(d: nashcore.SchubertDatum) -> dict:
 
 
 def cominuscule_sweep(
-    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
+    types: Sequence[CartanType] = DEFAULT_TYPES,
 ) -> tuple[SweepOutcome, SweepOutcome]:
     """(translate bijection, singular locus agreement) in one pass over the data.
 
@@ -107,7 +103,7 @@ def cominuscule_sweep(
     """
     bij = SweepOutcome("translate bijection")
     sing = SweepOutcome("singular locus agreement")
-    for d in cominuscule_data(max_rank_a, max_rank_bc, include_d4):
+    for d in cominuscule_data(types):
         report = peterson.verify_theorem2(d)
         bij.checked += 1
         if not report.ok:
@@ -137,16 +133,14 @@ def cominuscule_sweep(
     return bij, sing
 
 
-def theorem2_sweep(
-    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
-) -> SweepOutcome:
-    return cominuscule_sweep(max_rank_a, max_rank_bc, include_d4)[0]
+def theorem2_sweep(types: Sequence[CartanType] = DEFAULT_TYPES) -> SweepOutcome:
+    return cominuscule_sweep(types)[0]
 
 
 def singular_agreement_sweep(
-    max_rank_a: int = 5, max_rank_bc: int = 3, include_d4: bool = True
+    types: Sequence[CartanType] = DEFAULT_TYPES,
 ) -> SweepOutcome:
-    return cominuscule_sweep(max_rank_a, max_rank_bc, include_d4)[1]
+    return cominuscule_sweep(types)[1]
 
 
 def grassmannian_perms(n: int, k: int) -> Iterator[grassmann.Permutation]:

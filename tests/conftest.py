@@ -14,9 +14,14 @@ or quotients and filter them, the brute-force routes that the W^P walk
 ``weyl.interval_min_reps`` is checked against.  ``positive_roots_closure``
 re-scans every known root until none is added, the route that the
 level-by-level ``rootsystem._generate_positives`` is checked against.
+``pairing`` and ``reflect`` act on root vectors through the symmetrized
+Cartan matrix ``bilinear``, the forms that ``weyl.reflection_from_root`` and
+the root permutations are checked against; the package itself only applies
+simple reflections from the Cartan matrix.
 """
 
 from collections import deque
+from functools import lru_cache
 
 import pytest
 
@@ -154,6 +159,62 @@ def _positive_roots_closure(cartan):
                         roots.add(up)
                         grew = True
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+def _symmetrizer(ct):
+    """d with d_i a[i][j] symmetric: alpha_n is short in B_n, long in C_n."""
+    n = ct.rank
+    if ct.family == "B":
+        return (2,) * (n - 1) + (1,)
+    if ct.family == "C":
+        return (1,) * (n - 1) + (2,)
+    return (1,) * n
+
+
+@lru_cache(maxsize=None)
+def _bilinear(system):
+    """(alpha_i, alpha_j) = d_i a[i][j] on the simple roots."""
+    d = _symmetrizer(system.cartan_type)
+    return tuple(
+        tuple(d[i] * a for a in row) for i, row in enumerate(system.cartan_matrix)
+    )
+
+
+def _pairing(system, beta, alpha):
+    """<beta, alpha^vee> = 2 (beta, alpha) / (alpha, alpha) for a root alpha."""
+    assert system.is_root(alpha), alpha
+    bil = _bilinear(system)
+    n = system.rank
+
+    def form(x, y):
+        return sum(x[i] * bil[i][j] * y[j] for i in range(n) for j in range(n))
+
+    num, den = 2 * form(beta, alpha), form(alpha, alpha)
+    assert num % den == 0, (beta, alpha)
+    return num // den
+
+
+def _reflect(system, alpha, beta):
+    """The reflection in alpha applied to beta: beta - <beta, alpha^vee> alpha."""
+    c = _pairing(system, beta, alpha)
+    out = tuple(b - c * a for b, a in zip(beta, alpha))
+    assert not system.is_root(beta) or system.is_root(out), out
+    return out
+
+
+@pytest.fixture(scope="session")
+def bilinear():
+    return _bilinear
+
+
+@pytest.fixture(scope="session")
+def pairing():
+    return _pairing
+
+
+@pytest.fixture(scope="session")
+def reflect():
+    return _reflect
 
 
 @pytest.fixture(scope="session")

@@ -133,16 +133,14 @@ def test_criterion_2_grassmannian_example():
 
 
 def test_criterion_3_translate_bijection_sweep():
-    out = sweeps.theorem2_sweep(max_rank_a=5, max_rank_bc=3, include_d4=True)
+    out = sweeps.theorem2_sweep(sweeps.DEFAULT_TYPES)
     verdict("criterion 3: translate bijection sweep", out.ok, out.summary())
     assert out.checked == 160
     assert out.ok, out.failures[:5]
 
 
 def test_criterion_4_singular_locus_agreement():
-    out = sweeps.singular_agreement_sweep(
-        max_rank_a=5, max_rank_bc=3, include_d4=True
-    )
+    out = sweeps.singular_agreement_sweep(sweeps.DEFAULT_TYPES)
     verdict("criterion 4: singular locus agreement", out.ok, out.summary())
     assert out.checked == 160
     assert out.ok, out.failures[:5]
@@ -239,10 +237,14 @@ def test_criterion_7_covexillary_conjecture():
 
 # -- criterion 8: structural invariants -------------------------------------
 
+CRITERION_8_TYPES = tuple(
+    rootsystem.CartanType(t[0], int(t[1])) for t in "A1 A2 A3 A4 B2 B3 C2 C3 D4".split()
+)
+
 
 def test_criterion_8a_fibers_partition_fixed_points(wp_fiber_search):
     bad = []
-    for d in sweeps.cominuscule_data(max_rank_a=4, max_rank_bc=3):
+    for d in sweeps.cominuscule_data(CRITERION_8_TYPES):
         base = weyl.interval_min_reps(d.w, d.p)
         total = sum(len(nashcore.nash_fiber(v, d)) for v in base)
         if total != len(nashcore.nash_fixed_points(d)) or any(
@@ -255,7 +257,7 @@ def test_criterion_8a_fibers_partition_fixed_points(wp_fiber_search):
 
 def test_criterion_8b_translate_states_match_fixed_points():
     bad = []
-    for d in sweeps.cominuscule_data(max_rank_a=4, max_rank_bc=3):
+    for d in sweeps.cominuscule_data(CRITERION_8_TYPES):
         graph = peterson.eventual_translates(d.w, d.p)
         if len(graph.nodes) != len(nashcore.nash_fixed_points(d)):
             bad.append(d)

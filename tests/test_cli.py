@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -145,35 +146,64 @@ def test_verify_small(capsys):
     code, out, _ = run(
         capsys,
         [
-            "verify", "--max-rank-a", "2", "--max-rank-bc", "2", "--skip-d4",
-            "--max-n-coess", "4", "--max-n-fibers", "4", "--conjecture-n", "4",
+            "verify", "--types", "A1,A2,B2,C2",
+            "--max-n-coess", "4", "--max-n-fibers", "4",
         ],
     )
     assert code == 0
     assert "translate bijection" in out
     assert "ok" in out
-    # --max-rank-a 0 is still a range while B/C or D4 data remain: here the
-    # four cells each of the quadric B2/P1 and of LG(2,4) = C2/P2
-    argv = ["verify", "--max-rank-a", "0", "--max-rank-bc", "2", "--skip-d4"]
-    code, out, _ = run(capsys, argv + ["--skip-coess", "--skip-fibers"])
+    code, out, _ = run(capsys, ["conjecture", "--n", "4"])
+    assert (code, out) == (0, "fiber-product conjecture on S_4: checked 23, ok\n")
+    # a list without type A: the four cells each of the quadric B2/P1 and of
+    # LG(2,4) = C2/P2
+    argv = ["verify", "--types", "B2,C2", "--skip-coess", "--skip-fibers"]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == (
         "translate bijection: checked 8, ok\nsingular locus agreement: checked 8, ok\n"
     )
 
 
+def test_verify_types_reach_d_and_e(capsys):
+    # D5 and E6, which no default of verify holds: 42 and 54 data
+    argv = ["verify", "--types", "D5,E6", "--skip-coess", "--skip-fibers"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        "translate bijection: checked 96, ok\n"
+        "singular locus agreement: checked 96, ok\n"
+    )
+
+
+def test_readme_verify_example(capsys):
+    # the README's verify example, run as written, prints the lines shown
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### `verify`", 1)[1]
+    block = section.split("```")[1].replace("\\\n", " ")
+    command, *printed = block.strip("\n").splitlines()
+    prompt, program, *argv = shlex.split(command)
+    assert (prompt, program, argv[0]) == ("$", "nashblowup", "verify")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines() == printed
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys,
         [
-            "verify", "--max-rank-a", "2", "--max-rank-bc", "2", "--skip-d4",
-            "--skip-coess", "--skip-fibers", "--conjecture-n", "4",
-            "--format", "json",
+            "verify", "--types", "A1,A2,B2,C2",
+            "--skip-coess", "--skip-fibers", "--format", "json",
         ],
     )
     assert code == 0
     payload = json.loads(out)
+    assert [entry["checked"] for entry in payload] == [16, 16]
     assert all(entry["ok"] for entry in payload)
+    code, out, _ = run(capsys, ["conjecture", "--n", "4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["failures"] == []
 
 
 def test_types_catalog(capsys):
@@ -239,26 +269,30 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["conjecture", "--n", "0"],
         ["conjecture", "--n", "1"],
         ["conjecture", "--perm", "1"],
-        ["verify", "--conjecture-n", "1"],
         # S_n above n = 8, refused before its n! permutations are walked
         ["conjecture", "--n", "9"],
-        ["verify", "--conjecture-n", "9"],
         # --jobs outside 1..cpu_count, refused before any sweep work
         ["conjecture", "--n", "6", "--jobs", "0"],
         ["conjecture", "--n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
-        ["verify", "--conjecture-n", "6", "--jobs", "0"],
-        ["verify", "--conjecture-n", "6", "--jobs", str((os.cpu_count() or 1) + 1)],
+        # one value per input: a second one is refused, not dropped
+        ["nash", "--perm", "2413", "--word", "1"],
+        ["conjecture", "--perm", "5,2,3,4,1", "--n", "4"],
+        ["conjecture", "--perm", "2,1", "--jobs", "2"],
         # verify ranges above their stated limits, refused before any sweep
         *(["verify", flag, str(limit + 1)] for flag, limit in VERIFY_LIMITS.items()),
         # negative ranges, and sweeps left to run on a range holding no datum:
         # each would print "checked 0, ok" and pass
         *(["verify", flag, "-1"] for flag in VERIFY_LIMITS),
         ["verify", "--skip-translates", "--skip-fibers", "--max-n-coess", "-5"],
-        ["verify", "--max-rank-a", "0", "--max-rank-bc", "0", "--skip-d4"],
-        ["verify", "--max-rank-a", "0", "--max-rank-bc", "1", "--skip-d4"],
         ["verify", "--skip-translates", "--skip-fibers", "--max-n-coess", "1"],
         ["verify", "--skip-translates", "--skip-coess", "--max-n-fibers", "1"],
         ["verify", "--max-n-fibers", "0"],
+        # a --types list that is empty or malformed, names a type twice, or
+        # names one outside the supported families or above its family's cap
+        *(["verify", "--types", types] for types in (
+            "", "A", "A0", "F4", "A9", "D8", "E8", "A2,A2", "A2;B2", "A2,",
+            "A" + "9" * 5000,
+        )),
         # a report path in a directory that does not exist
         ["nash", *A3_ARGS, "--output", str(tmp_path / "missing" / "report.txt")],
         # ranks above the bound, refused before the root system is built
@@ -290,9 +324,8 @@ OPTIONS = {
                  "--format"],
     "grassmann": ["--perm", "--format", "--output"],
     "conjecture": ["--perm", "--n", "--jobs", "--format", "--output"],
-    "verify": [*VERIFY_LIMITS, "--skip-d4", "--conjecture-n", "--jobs",
-               "--skip-translates", "--skip-coess", "--skip-fibers", "--format",
-               "--output"],
+    "verify": ["--types", *VERIFY_LIMITS, "--skip-translates", "--skip-coess",
+               "--skip-fibers", "--format", "--output"],
     "types": ["--type", "--rank", "--output"],
 }
 
@@ -311,8 +344,9 @@ def test_option_surface(capsys):
         for name, sub in subs.choices.items()
     }
     assert surface == OPTIONS
-    assert sum(map(len, surface.values())) == 37
-    # the removed spellings are unknown options, not hidden aliases
+    assert sum(map(len, surface.values())) == 33
+    # the removed spellings are unknown options, not hidden aliases, and no
+    # option answers to a prefix of its name
     for argv in (
         ["nash", *A3_ARGS, "--levi", "1,3"],
         ["nash", "--perm", "25713468", "--k", "3"],
@@ -320,13 +354,24 @@ def test_option_surface(capsys):
         ["peterson", "--perm", "25713468", "--k", "3"],
         ["grassmann", "--perm", "25713468", "--k", "3"],
         ["grassmann", "--perm", "25713468", "--n", "8"],
+        ["verify", "--max-rank-a", "3"],
+        ["verify", "--max-rank-bc", "2"],
+        ["verify", "--skip-d4"],
+        ["verify", "--conjecture-n", "4"],
+        ["verify", "--jobs", "2"],
+        ["nash", "--type", "A", "--rank", "3", "--no", "2", "--wo", "1,3,2"],
+        ["verify", "--type", "A5"],
+        ["grassmann", "--pe", "25713468"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert "Traceback" not in err
+        # --pe is not read as --perm, so the required --perm is missing
+        wanted = "required: --perm" if "--pe" in argv else "unrecognized arguments"
+        assert wanted in err
 
 
 def test_rank_bound_keeps_the_tuple_table_path(capsys):

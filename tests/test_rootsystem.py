@@ -118,32 +118,59 @@ def test_b3_positive_roots_explicit(b3):
     assert set(b3.positive_roots) == expected
 
 
-def test_c3_pairing_asymmetry():
+def test_c3_pairing_asymmetry(pairing):
     rs = root_system("C", 3)
     a2 = rs.simple_root(2)
     a3 = rs.simple_root(3)
-    assert rs.pairing(a2, a3) == -1
-    assert rs.pairing(a3, a2) == -2
+    assert pairing(rs, a2, a3) == -1
+    assert pairing(rs, a3, a2) == -2
     # diagonal entries are always 2
     for i in range(1, 4):
         ai = rs.simple_root(i)
-        assert rs.pairing(ai, ai) == 2
+        assert pairing(rs, ai, ai) == 2
 
 
-def test_reflect_matches_pairing_formula(b3):
+SYMMETRIZER_TYPES = (
+    [("A", n) for n in range(1, 17)]
+    + [(f, n) for f in "BC" for n in range(2, 17)]
+    + [("D", n) for n in range(3, 17)]
+    + [("E", 6), ("E", 7)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SYMMETRIZER_TYPES)
+def test_symmetrizer_symmetrizes_the_cartan_matrix(bilinear, family, rank):
+    # every supported type up to rank 16: d_i a[i][j] = d_j a[j][i], and the
+    # pairing it gives is the Cartan matrix on simple roots
+    rs = root_system(family, rank)
+    bil = bilinear(rs)
+    assert all(bil[i][j] == bil[j][i] for i in range(rank) for j in range(rank))
+    assert all(bil[i][i] > 0 for i in range(rank))
+
+
+def test_pairing_of_simple_roots_is_the_cartan_matrix(pairing):
+    # <alpha_j, alpha_i^vee> = a[i][j], the convention every module relies on
+    for family, rank in [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("E", 7)]:
+        rs = root_system(family, rank)
+        for i, alpha in enumerate(rs.simple_roots):
+            for j, beta in enumerate(rs.simple_roots):
+                assert pairing(rs, beta, alpha) == rs.cartan_matrix[i][j]
+
+
+def test_reflect_matches_pairing_formula(b3, pairing, reflect):
     for alpha in b3.positive_roots:
         for beta in b3.positive_roots:
-            image = b3.reflect(alpha, beta)
-            coeff = b3.pairing(beta, alpha)
+            image = reflect(b3, alpha, beta)
+            coeff = pairing(b3, beta, alpha)
             expected = tuple(b - coeff * a for b, a in zip(beta, alpha))
             assert image == expected
             assert b3.is_root(image)
 
 
-def test_reflect_is_involution(b3):
+def test_reflect_is_involution(b3, reflect):
     for alpha in b3.positive_roots:
         for beta in b3.positive_roots:
-            assert b3.reflect(alpha, b3.reflect(alpha, beta)) == beta
+            assert reflect(b3, alpha, reflect(b3, alpha, beta)) == beta
 
 
 def test_membership_predicates(a3):

@@ -8,7 +8,9 @@ iteration space cannot slip through.
 from collections import Counter
 
 from nashblowup import nashcore, peterson, rootsystem, sweeps, weyl, zelevinsky
+from nashblowup.rootsystem import CartanType
 from nashblowup.sweeps import (
+    DEFAULT_TYPES,
     SweepOutcome,
     cominuscule_data,
     cominuscule_sweep,
@@ -38,18 +40,34 @@ def test_covexillary_enumeration_counts():
     assert sum(1 for _ in covexillary_perms(5)) == 103
 
 
+def _types(spec):
+    """'A1,A2' -> (A1, A2), the CartanType list of a --types spelling."""
+    return tuple(CartanType(t[0], int(t[1:])) for t in spec.split(","))
+
+
+SMALL = _types("A1,A2,A3,B2,C2")  # 30 data
+
+
 def test_cominuscule_data_families():
-    data = list(cominuscule_data(max_rank_a=2, max_rank_bc=2, include_d4=False))
+    data = list(cominuscule_data(_types("A1,A2,B2,C2")))
     seen = {(d.system.cartan_type.family, d.system.rank) for d in data}
     assert seen == {("A", 1), ("A", 2), ("B", 2), ("C", 2)}
     assert len(data) == 16
     # D4 contributes data for each of its three cominuscule nodes
-    with_d4 = list(cominuscule_data(max_rank_a=1, max_rank_bc=2, include_d4=True))
+    with_d4 = list(cominuscule_data(_types("A1,B2,C2,D4")))
     assert any(d.system.cartan_type.family == "D" for d in with_d4)
+    # the data come type by type, in the order the list gives
+    order = [str(d.system.cartan_type) for d in cominuscule_data(_types("C2,A1"))]
+    assert order == ["C2"] * 4 + ["A1"] * 2
+
+
+def test_default_types():
+    # the ten types verify sweeps unless --types names others
+    assert ",".join(map(str, DEFAULT_TYPES)) == "A1,A2,A3,A4,A5,B2,B3,C2,C3,D4"
 
 
 def test_theorem2_sweep_small():
-    out = theorem2_sweep(max_rank_a=3, max_rank_bc=2, include_d4=False)
+    out = theorem2_sweep(SMALL)
     assert isinstance(out, SweepOutcome)
     assert out.ok
     assert out.checked == 30
@@ -58,14 +76,14 @@ def test_theorem2_sweep_small():
 
 
 def test_singular_agreement_sweep_small():
-    out = singular_agreement_sweep(max_rank_a=3, max_rank_bc=2, include_d4=False)
+    out = singular_agreement_sweep(SMALL)
     assert out.ok
     assert out.checked == 30
 
 
 def test_cominuscule_sweep_builds_one_graph_per_datum():
     peterson.eventual_translates.cache_clear()
-    bij, sing = cominuscule_sweep(3, 2, False)
+    bij, sing = cominuscule_sweep(SMALL)
     info = peterson.eventual_translates.cache_info()
     # verify_theorem2 builds the graph, ck_singular_points reuses it
     assert (info.misses, info.hits) == (30, 30)
@@ -107,7 +125,7 @@ def test_package_paths_make_no_bruhat_test(a3, a3_w, a3_datum):
     # clear the walk caches too, so that each path runs in full
     for cached in (weyl.bruhat_leq, weyl._ideal, peterson.eventual_translates):
         cached.cache_clear()
-    cominuscule_sweep(3, 2, False)
+    cominuscule_sweep(SMALL)
     zelevinsky.conjecture_check((2, 5, 3, 1, 4))
     nashcore.nash_fiber(weyl.identity(a3), a3_datum)
     peterson.theorem2_map(a3_w, a3_datum)

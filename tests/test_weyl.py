@@ -286,13 +286,14 @@ CONJUGATION_TYPES = (
 
 
 @pytest.mark.parametrize("family,rank", CONJUGATION_TYPES)
-def test_reflection_by_conjugation_matches_reflect(family, rank):
-    # only simple reflections come from RootSystem.reflect; every other r_alpha
-    # is a product s_i r_{s_i alpha} s_i, checked here on every root
+def test_reflection_by_conjugation_matches_reflect(reflect, family, rank):
+    # only simple reflections come from the Cartan matrix; every other r_alpha
+    # is a product s_i r_{s_i alpha} s_i, checked here on every root against
+    # the reflection by the pairing
     rs = rootsystem.root_system(family, rank)
     for alpha in rs.roots:
         r = reflection_from_root(rs, alpha)
-        assert [rs.roots[j] for j in r.perm] == [rs.reflect(alpha, b) for b in rs.roots]
+        assert [rs.roots[j] for j in r.perm] == [reflect(rs, alpha, b) for b in rs.roots]
 
 
 def test_parabolic_validation(a3):
@@ -366,16 +367,6 @@ def _matrix_of_word(rs, word):
     return m
 
 
-def _form(rs, x, y):
-    # (alpha_i, alpha_j) = d_i a[i][j] with the symmetrizer d
-    n = rs.rank
-    return sum(
-        x[i] * rs.symmetrizer[i] * rs.cartan_matrix[i][j] * y[j]
-        for i in range(n)
-        for j in range(n)
-    )
-
-
 def _assert_matches_matrix(rs, w, m):
     neg = set(rs.negative_roots)
     for b in rs.roots:
@@ -409,14 +400,14 @@ def test_permutation_matches_matrix_oracle(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ORACLE_TYPES), st.integers(min_value=0))
-def test_reflection_from_root_matches_matrix(spec, pick):
+def test_reflection_from_root_matches_matrix(pairing, spec, pick):
     rs = rootsystem.root_system(*spec)
     gamma = rs.roots[pick % len(rs.roots)]
     n = rs.rank
     # column j is alpha_j - <alpha_j, gamma^vee> gamma
     cols = []
     for a in rs.simple_roots:
-        c = 2 * _form(rs, a, gamma) // _form(rs, gamma, gamma)
+        c = pairing(rs, a, gamma)
         cols.append(tuple(x - c * g for x, g in zip(a, gamma)))
     m = [[cols[j][i] for j in range(n)] for i in range(n)]
     _assert_matches_matrix(rs, reflection_from_root(rs, gamma), m)
