@@ -443,6 +443,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # a sweep that runs on a range holding no datum would pass idle
         if value < 2 and not getattr(args, "skip_" + flag.rsplit("-", 1)[1]):
             raise UsageError(f"{flag}: no datum in range; widen it or skip the sweep")
+    if args.skip_translates and args.skip_coess and args.skip_fibers:
+        raise UsageError("every sweep is skipped; a run must check something")
     outcomes = []
     if not args.skip_translates:
         outcomes.extend(sweeps.cominuscule_sweep(types))

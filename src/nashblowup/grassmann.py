@@ -304,10 +304,11 @@ def defined_by_inclusions(p: Permutation) -> bool:
 
 def is_covexillary(p: Permutation) -> bool:
     """Boxes are simultaneously sortable: never p < p' together with q > q'."""
-    boxes = coessential_set(p)
-    return not any(
-        b1.p < b2.p and b1.q > b2.q for b1 in boxes for b2 in boxes
-    )
+    return _sortable(coessential_set(p))
+
+
+def _sortable(boxes: frozenset[CoessBox]) -> bool:
+    return not any(b1.p < b2.p and b1.q > b2.q for b1 in boxes for b2 in boxes)
 
 
 def nash_blowup_smooth(p: Permutation, k: int) -> bool:

@@ -13,15 +13,17 @@ Weight sets, ambient sets included, are int bitmasks over the indices of
 reflection's root permutation (Casselman's tables for Weyl elements,
 applied one layer up).  Root tuples appear only when a state is rendered.
 
-Root strings are unbroken, so the gamma-strings of a root system are
-tabulated once per (system, gamma) as masks with their indices bottom
-first, and sigma takes the first c indices of a string from its lowest
-ambient member.  Iterating from
-(w, LInv(w)) until no further translation applies produces the translation
-graph whose sinks are eventual translates.  For cominuscule P every string
-meets the ambient set at most once, so sigma is the identity and the states
-biject with the fixed points of the Nash blow-up; the map witnessing the
-bijection is :func:`theorem2_map` and the check is :func:`verify_theorem2`.
+All of tau but M depends on (z, P) alone, so one bounded cache holds a step
+table per (z, P): per left inversion gamma, the target z', ambient(z'),
+r_gamma's root permutation, and for each gamma-string with two or more
+ambient roots its packed masks by count.  Iterating from (w, LInv(w)) until
+no further translation applies is one breadth-first walk over these
+tables; it yields the translation graph (:func:`eventual_translates`), or
+only the number of states over each z (:func:`translate_counts`).  For
+cominuscule P every string meets the ambient set at most once, so sigma is
+the identity and the states biject with the fixed points of the Nash
+blow-up; the map witnessing the bijection is :func:`theorem2_map` and the
+check is :func:`verify_theorem2`.
 
 Singularity detection: a fixed point u of X_w^P is singular iff some v >= u
 carries two distinct eventual translates (v, N) != (v, N'); see
@@ -30,7 +32,7 @@ carries two distinct eventual translates (v, N) != (v, N'); see
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -59,6 +61,7 @@ __all__ = [
     "ambient_weights",
     "sigma_shift",
     "tau",
+    "translate_counts",
     "eventual_translates",
     "theorem2_map",
     "verify_theorem2",
@@ -154,17 +157,13 @@ def ambient_weights(z: WeylElement, p: ParabolicSubset) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gamma_strings(
-    system: RootSystem, gamma: Root
-) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """(multi, strings), one table per (system, gamma).
+def _gamma_strings(system: RootSystem, gamma: Root) -> tuple:
+    """The gamma-strings of two or more roots, one table per (system, gamma).
 
-    ``strings[i]`` is the gamma-string through ``system.roots[i]``: its mask
-    and its root indices, bottom first.  ``multi`` is the union of the
-    strings of two or more roots.  Root strings are unbroken: each string is
-    walked along beta + gamma through ``system.index`` from its one root
-    with no predecessor.  gamma and -gamma lie in different strings, since 0
-    is not a root; no ambient set contains both.
+    Each string is its mask and its root indices, bottom first, walked along
+    beta + gamma from its one root with no predecessor (root strings are
+    unbroken).  gamma and -gamma lie in different strings, since 0 is not a
+    root; no ambient set contains both.
     """
     if not system.is_root(gamma):
         raise ValueError(f"{gamma} is not a root")
@@ -174,21 +173,56 @@ def _gamma_strings(
         j = index.get(tuple(b + g for b, g in zip(beta, gamma)))
         if j is not None:
             up[i] = j
-    above = set(up.values())
-    strings: list = [None] * len(roots)
-    multi = 0
-    for i in range(len(roots)):
-        if i in above:
-            continue  # not the bottom of its string
+    strings = []
+    for i in sorted(set(up) - set(up.values())):  # bottoms of strings of two+
         ix = [i]
         while ix[-1] in up:
             ix.append(up[ix[-1]])
-        entry = (sum(1 << j for j in ix), tuple(ix))
-        for j in ix:
-            strings[j] = entry
-        if len(ix) > 1:
-            multi |= entry[0]
-    return multi, tuple(strings)
+        strings.append((sum(1 << j for j in ix), tuple(ix)))
+    return tuple(strings)
+
+
+def _packings(system: RootSystem, gamma: Root, ambient: int) -> tuple:
+    """:func:`_packing` of each gamma-string with two or more ambient roots."""
+    return tuple(
+        _packing(smask, ix, ambient & smask)
+        for smask, ix in _gamma_strings(system, gamma)
+        if (ambient & smask) & ((ambient & smask) - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _packing(smask: int, ix: tuple[int, ...], inside: int) -> tuple:
+    """(smask, packed masks by count) for a string ``ix``, bottom first, whose
+    ambient roots are ``inside``.
+
+    The minimal element mu, the ambient member with mu - gamma not ambient,
+    is unique iff the ambient roots form one run; then c weights pack to
+    {mu, ..., mu + (c-1) gamma}, the c-th entry.  Otherwise the entry is
+    None: a weight set meeting the string fails.
+    """
+    run = [k for k, i in enumerate(ix) if inside >> i & 1]
+    if run[-1] - run[0] != len(run) - 1:
+        return smask, None
+    packed = [0]
+    for i in ix[run[0] : run[-1] + 1]:
+        packed.append(packed[-1] | 1 << i)
+    return smask, tuple(packed)
+
+
+def _shift(m: int, packings: tuple, gamma: Root) -> int:
+    """sigma_gamma of a mask inside the ambient set the packings were made for."""
+    out = m
+    for smask, packed in packings:
+        c = (m & smask).bit_count()
+        if c:
+            if packed is None:
+                msg = f"alpha-minimal element not unique on string {smask:#x} along"
+                raise InvariantViolation(f"{msg} {gamma}")
+            out = out & ~smask | packed[c]
+    if out.bit_count() != m.bit_count():
+        raise InvariantViolation("sigma changed the cardinality of the weight set")
+    return out
 
 
 def sigma_shift(z: WeylElement, p: ParabolicSubset, m: int, alpha: Root) -> int:
@@ -196,46 +230,52 @@ def sigma_shift(z: WeylElement, p: ParabolicSubset, m: int, alpha: Root) -> int:
 
     M and the result are masks.  The minimal element mu of a string is its
     ambient member with mu - alpha outside the ambient set; it must be
-    unique, and this is re-verified on every string of M that is ambient in
-    part and holds two or more ambient roots (on a wholly ambient string mu
-    is the bottom).  c weights of M on the string become
-    {mu, mu + alpha, ..., mu + (c-1) alpha}, so full blocks and strings with
-    one ambient member are left unchanged.
+    unique on every string that holds two or more ambient roots and meets M.
+    c weights of M on the string become {mu, mu + alpha, ..., mu + (c-1)
+    alpha}, so full blocks and strings with one ambient member are left
+    unchanged.
     """
     ambient = ambient_weights(z, p)
     if m & ~ambient:
         raise ValueError("weight set must live inside the ambient set of z")
-    multi, strings = _gamma_strings(z.system, alpha)
-    out = m
-    todo = m & multi
-    while todo:
-        smask, ix = strings[(todo & -todo).bit_length() - 1]
-        todo &= ~smask
-        inside = ambient & smask
-        if not inside & (inside - 1):
-            continue  # one ambient root on the string, and M holds it
-        if inside == smask:
-            b = 0  # the whole string is ambient: its bottom is the one minimum
-        else:
-            bottoms = [
-                k
-                for k, i in enumerate(ix)
-                if inside >> i & 1 and not (k and inside >> ix[k - 1] & 1)
-            ]
-            if len(bottoms) != 1:
-                roots = z.system.roots
-                raise InvariantViolation(
-                    f"alpha-minimal element not unique in {[roots[i] for i in ix]} "
-                    f"along {alpha}"
-                )
-            b = bottoms[0]
-        packed = 0
-        for i in ix[b : b + (m & smask).bit_count()]:
-            packed |= 1 << i
-        out = out & ~smask | packed
-    if out.bit_count() != m.bit_count():
-        raise InvariantViolation("sigma changed the cardinality of the weight set")
-    return out
+    return _shift(m, _packings(z.system, alpha, ambient), alpha)
+
+
+# the walks of different w meet the same (z, P), so tables are reused across
+# walks; the bound keeps the memory of a long sweep flat
+@lru_cache(maxsize=2048)
+def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple[tuple, ...]:
+    """One step per left inversion gamma of z, in sorted order of gamma.
+
+    A step is (gamma, z', ambient(z'), r_gamma's root permutation, the
+    packings of gamma over ambient(z)), where z', the minimal representative
+    of r_gamma z, must be shorter than z.
+    """
+    rs = z.system
+    ambient = ambient_weights(z, p)
+    steps = []
+    for gamma in sorted(left_inversions(z)):
+        refl = reflection_from_root(rs, gamma)
+        target = min_coset_rep(multiply(refl, z), p)
+        if target.length >= z.length:
+            raise InvariantViolation("translation failed to decrease length")
+        packings = _packings(rs, gamma, ambient)
+        steps.append((gamma, target, ambient_weights(target, p), refl.perm, packings))
+    return tuple(steps)
+
+
+def _translate(m: int, step: tuple) -> int:
+    """r_gamma(sigma_gamma(M)) for one step, checked to lie in ambient(z')."""
+    gamma, _, ambient, perm, packings = step
+    shifted = _shift(m, packings, gamma) if packings else m
+    new = 0
+    while shifted:
+        low = shifted & -shifted
+        new |= 1 << perm[low.bit_length() - 1]
+        shifted ^= low
+    if new & ~ambient:
+        raise InvariantViolation("translated weights left the ambient set")
+    return new
 
 
 def tau(state: PetersonState, gamma: Root, p: ParabolicSubset) -> PetersonState:
@@ -246,18 +286,38 @@ def tau(state: PetersonState, gamma: Root, p: ParabolicSubset) -> PetersonState:
             f"{format_root(gamma)} is not a left inversion of "
             f"{format_word(reduced_word(z))}"
         )
-    refl = reflection_from_root(z.system, gamma)
-    shifted = sigma_shift(z, p, state.mask, gamma)
-    perm = refl.perm
-    new = 0
-    while shifted:
-        low = shifted & -shifted
-        new |= 1 << perm[low.bit_length() - 1]
-        shifted ^= low
-    new_z = min_coset_rep(multiply(refl, z), p)
-    if new & ~ambient_weights(new_z, p):
-        raise InvariantViolation("translated weights left the ambient set")
-    return PetersonState(new_z, new)
+    if state.mask & ~ambient_weights(z, p):
+        raise ValueError("weight set must live inside the ambient set of z")
+    step = next(s for s in _step_table(z, p) if s[0] == gamma)
+    return PetersonState(step[1], _translate(state.mask, step))
+
+
+def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list:
+    """The (z, M) reached from (w, LInv(w)) in breadth-first order, steps of
+    each in sorted order of gamma; each step is appended to ``edges``, when
+    given, as (source position, gamma, target position).  Only the start is
+    checked to lie in ambient(z): each target is checked as it is made.
+    """
+    rs = w.system
+    _check_levi(rs, p)
+    if not min_coset_rep(w, p) == w:
+        raise ValueError(
+            f"{format_word(reduced_word(w))} is not a minimal coset representative"
+        )
+    nodes = [(w, weight_mask(rs, left_inversions(w)))]
+    if nodes[0][1] & ~ambient_weights(w, p):
+        raise ValueError("weight set must live inside the ambient set of z")
+    # keyed by z.perm, hashed in C; an element's __hash__ would run Python code
+    position = {(w.perm, nodes[0][1]): 0}
+    for src, (z, m) in enumerate(nodes):  # grows while it is read
+        for step in _step_table(z, p):
+            new = _translate(m, step)
+            k = position.setdefault((step[1].perm, new), len(nodes))
+            if k == len(nodes):
+                nodes.append((step[1], new))
+            if edges is not None:
+                edges.append((src, step[0], k))
+    return nodes
 
 
 @lru_cache(maxsize=1)
@@ -267,32 +327,17 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     Deterministic: neighbors are explored in lexicographic order of gamma.
     Edge targets always have strictly smaller length, so the graph is acyclic.
     The last graph built is memoised (one entry), so checks of one datum made
-    in a row share it; the graph and its states are immutable, so sharing is
-    safe.
+    in a row share it; graphs and states are immutable, so that is safe.
     """
-    rs = w.system
-    _check_levi(rs, p)
-    if not min_coset_rep(w, p) == w:
-        raise ValueError(
-            f"{format_word(reduced_word(w))} is not a minimal coset representative"
-        )
-    start = PetersonState(w, weight_mask(rs, left_inversions(w)))
-    nodes: list[PetersonState] = [start]
-    seen: set[PetersonState] = {start}
-    edges: list[tuple[PetersonState, Root, PetersonState]] = []
-    queue: deque[PetersonState] = deque([start])
-    while queue:
-        st = queue.popleft()
-        for gamma in sorted(left_inversions(st.z)):
-            nxt = tau(st, gamma, p)
-            if nxt.z.length >= st.z.length:
-                raise InvariantViolation("translation failed to decrease length")
-            edges.append((st, gamma, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                nodes.append(nxt)
-                queue.append(nxt)
-    return TranslationGraph(root=start, nodes=tuple(nodes), edges=tuple(edges))
+    found: list[tuple[int, Root, int]] = []
+    nodes = tuple(PetersonState(z, m) for z, m in _walk(w, p, found))
+    edges = tuple((nodes[a], gamma, nodes[b]) for a, gamma, b in found)
+    return TranslationGraph(root=nodes[0], nodes=nodes, edges=edges)
+
+
+def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]:
+    """The number of translation states over each z, without building the graph."""
+    return Counter(z for z, _ in _walk(w, p))
 
 
 @lru_cache(maxsize=None)
@@ -315,6 +360,11 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
         raise ValueError(f"{format_word(reduced_word(z))} is not in W^Q")
     if z not in nashcore.nash_fixed_points(d):
         raise ValueError(f"{format_word(reduced_word(z))} is not below w")
+    return _theorem2_image(z, d)
+
+
+def _theorem2_image(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
+    """:func:`theorem2_map` for z already known to be a fixed point of d."""
     perm = z.perm
     m = 0
     for i in _tangent_indices(d):
@@ -338,7 +388,7 @@ def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
     """Check that z -> (min rep, z(E)) is a bijection onto the translate states."""
     fixed = nashcore.nash_fixed_points(d)
     graph = eventual_translates(d.w, d.p)
-    images = Counter(theorem2_map(z, d) for z in fixed)
+    images = Counter(_theorem2_image(z, d) for z in fixed)
     states = set(graph.nodes)
     missing = tuple(sorted(states - set(images), key=_state_sort_key))
     extra = tuple(sorted(set(images) - states, key=_state_sort_key))
@@ -427,14 +477,14 @@ def graph_to_json(graph: TranslationGraph) -> dict:
 def fixed_point_table(d: nashcore.SchubertDatum) -> list[dict]:
     """Rows (v, v_tilde, N) over all fixed points of the Nash blow-up.
 
-    Each fixed point v is sent through :func:`theorem2_map`; rows run by
-    decreasing length, then reduced word.
+    Each fixed point v is sent through the map of :func:`theorem2_map`; rows
+    run by decreasing length, then reduced word.
     """
     rows = []
     for z in sorted(
         nashcore.nash_fixed_points(d), key=lambda v: (-v.length, reduced_word(v))
     ):
-        st = theorem2_map(z, d)
+        st = _theorem2_image(z, d)
         rows.append(
             {
                 "v": list(reduced_word(z)),

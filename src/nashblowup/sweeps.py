@@ -19,7 +19,6 @@ cominuscule data, building each datum's translation graph once;
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -195,8 +194,7 @@ def _fiberproduct_point_counts(
     # columns, so each Grassmannian point is evaluated at its image flag
     cov = zelevinsky.covexillary_datum(grassmann.grassmannian_max_rep(w, k))
 
-    graph = peterson.eventual_translates(w_el, p)
-    translate_counts = Counter(s.z for s in graph.nodes)
+    translate_counts = peterson.translate_counts(w_el, p)
     fibers = nashcore.nash_fibers(datum)
 
     rows = []

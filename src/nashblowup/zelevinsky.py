@@ -20,7 +20,6 @@ representative of w W_P sitting at that point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -30,14 +29,14 @@ from .grassmann import (
     check_permutation,
     coessential_set,
     descent_set,
-    is_covexillary,
     min_coset_rep_perm,
     perm_to_weyl,
     weyl_to_perm,
+    _sortable,
 )
-from .peterson import eventual_translates
+from .peterson import translate_counts
 from .rootsystem import root_system
-from .weyl import ParabolicSubset, interval_min_reps
+from .weyl import ParabolicSubset, WeylElement, interval_min_reps
 
 __all__ = [
     "CovexillaryDatum",
@@ -72,10 +71,11 @@ class CoordFlag:
 
 def covexillary_datum(w: Permutation) -> CovexillaryDatum:
     n = check_permutation(w)
-    if not is_covexillary(w):
+    coess = coessential_set(w)
+    if not _sortable(coess):
         raise ValueError(f"{w} is not covexillary")
     levi = descent_set(w)
-    boxes = tuple(sorted(coessential_set(w), key=lambda b: (b.p, b.q)))
+    boxes = tuple(sorted(coess, key=lambda b: (b.p, b.q)))
     qs = [b.q for b in boxes]
     if qs != sorted(qs):
         raise ValueError(f"boxes of {w} are not simultaneously sortable")
@@ -90,43 +90,59 @@ def covexillary_datum(w: Permutation) -> CovexillaryDatum:
     return CovexillaryDatum(w=w, n=n, levi=levi, boxes=boxes)
 
 
+def _fixed_points(d: CovexillaryDatum, seed: WeylElement) -> list[tuple]:
+    """(v, its element, flag of v) per fixed point below ``seed``, sorted by v."""
+    out = []
+    for z in interval_min_reps(seed, ParabolicSubset(d.levi)):
+        v = weyl_to_perm(z)
+        out.append((v, z, CoordFlag(tuple(tuple(sorted(v[: b.q])) for b in d.boxes))))
+    out.sort(key=lambda t: t[0])
+    if len({f for _, _, f in out}) != len(out):
+        raise RuntimeError("fixed flags failed to separate fixed points")
+    return out
+
+
 def schubert_fixed_points(d: CovexillaryDatum) -> list[tuple[Permutation, CoordFlag]]:
     """(v, flag of v) for every torus-fixed point of X_w^P, v in W^P, v <= w.
 
     The points are the ideal walked by :func:`weyl.interval_min_reps` below
     the minimal representative of w W_P, read back as one-line tuples.
     """
-    rs = root_system("A", d.n - 1)
-    seed = perm_to_weyl(rs, min_coset_rep_perm(d.w, d.levi))
-    out = []
-    for z in interval_min_reps(seed, ParabolicSubset(d.levi)):
-        v = weyl_to_perm(z)
-        steps = tuple(tuple(sorted(v[: b.q])) for b in d.boxes)
-        out.append((v, CoordFlag(steps=steps)))
-    out.sort(key=lambda t: t[0])
-    flags = [f for _, f in out]
-    if len(set(flags)) != len(flags):
-        raise RuntimeError("fixed flags failed to separate fixed points")
-    return out
+    seed = perm_to_weyl(root_system("A", d.n - 1), min_coset_rep_perm(d.w, d.levi))
+    return [(v, f) for v, _, f in _fixed_points(d, seed)]
 
 
-def _validate_flag(flag: CoordFlag, d: CovexillaryDatum) -> None:
+def _fiber_counts(flag: CoordFlag, d: CovexillaryDatum) -> tuple[int, int]:
+    """(Z count, Z' count) at a flag, checked once to be a point of the variety."""
     if len(flag.steps) != len(d.boxes):
         raise ValueError("flag has the wrong number of steps")
     prev: frozenset[int] = frozenset()
     prev_q = 0
+    uppers = []  # |S_{q_i} cap {1..p_i}|
     for step, box in zip(flag.steps, d.boxes):
         s = frozenset(step)
-        if len(s) != box.q or not all(1 <= x <= d.n for x in s):
+        if len(s) != box.q or min(s) < 1 or max(s) > d.n:
             raise ValueError(f"step {step} is not a {box.q}-subset of 1..{d.n}")
         if box.q >= prev_q and not prev <= s:
             raise ValueError("flag steps are not nested")
-        if sum(1 for x in s if x <= box.p) < box.r:
+        uppers.append(len([x for x in s if x <= box.p]))
+        if uppers[-1] < box.r:
             raise ValueError(
                 f"flag violates the rank condition of box "
                 f"({box.p},{box.q},{box.r}); not a point of the variety"
             )
         prev, prev_q = s, box.q
+    z_count, prev_r = 1, 0
+    for upper, box in zip(uppers, d.boxes):
+        z_count *= comb(upper - prev_r, box.r - prev_r)
+        prev_r = box.r
+    zdual_count, above = 1, d.n
+    for upper, box in zip(reversed(uppers), reversed(d.boxes)):
+        lower = box.p + box.q - upper  # |{1..p} union S_q|
+        size = box.q + box.p - box.r
+        zdual_count *= comb(above - lower, above - size)
+        above = size
+    return z_count, zdual_count
 
 
 def z_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
@@ -136,13 +152,7 @@ def z_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
     The U_i grow with i, so each T_i adds r_i - r_{i-1} elements of
     U_i minus T_{i-1}, which has |U_i| - r_{i-1} of them.
     """
-    _validate_flag(flag, d)
-    count, prev_r = 1, 0
-    for step, box in zip(flag.steps, d.boxes):
-        upper = sum(1 for x in step if x <= box.p)
-        count *= comb(upper - prev_r, box.r - prev_r)
-        prev_r = box.r
-    return count
+    return _fiber_counts(flag, d)[0]
 
 
 def zdual_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
@@ -154,19 +164,13 @@ def zdual_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
     s_{m+1} = n, T_i drops s_{i+1} - s_i elements of T_{i+1} minus L_i,
     which has s_{i+1} - |L_i| of them.
     """
-    _validate_flag(flag, d)
-    count, above = 1, d.n
-    for step, box in zip(reversed(flag.steps), reversed(d.boxes)):
-        lower = box.p + sum(1 for x in step if x > box.p)
-        size = box.q + box.p - box.r
-        count *= comb(above - lower, above - size)
-        above = size
-    return count
+    return _fiber_counts(flag, d)[1]
 
 
 def fiberproduct_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
     """Fixed points of the fiber of Z x_X Z' over the flag."""
-    return z_fiber_count(flag, d) * zdual_fiber_count(flag, d)
+    z_count, zdual_count = _fiber_counts(flag, d)
+    return z_count * zdual_count
 
 
 @dataclass(frozen=True)
@@ -224,24 +228,18 @@ def conjecture_check(w: Permutation) -> ConjectureReport:
     """
     d = covexillary_datum(w)
     seed = min_coset_rep_perm(w, d.levi)
-    rs = root_system("A", d.n - 1)
-    graph = eventual_translates(
-        perm_to_weyl(rs, seed), ParabolicSubset(d.levi)
-    )
-    per_point = {
-        weyl_to_perm(z): c for z, c in Counter(s.z for s in graph.nodes).items()
-    }
+    seed_el = perm_to_weyl(root_system("A", d.n - 1), seed)
+    counts = translate_counts(seed_el, ParabolicSubset(d.levi))
     points = []
-    for v, flag in schubert_fixed_points(d):
-        zc = z_fiber_count(flag, d)
-        zdc = zdual_fiber_count(flag, d)
+    for v, z, flag in _fixed_points(d, seed_el):
+        zc, zdc = _fiber_counts(flag, d)
         points.append(
             ConjecturePoint(
                 v=v,
                 z_count=zc,
                 zdual_count=zdc,
                 product=zc * zdc,
-                peterson_count=per_point.get(v, 0),
+                peterson_count=counts[z],
             )
         )
     return ConjectureReport(w=w, seed=seed, points=tuple(points))

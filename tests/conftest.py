@@ -18,6 +18,10 @@ level-by-level ``rootsystem._generate_positives`` is checked against.
 Cartan matrix ``bilinear``, the forms that ``weyl.reflection_from_root`` and
 the root permutations are checked against; the package itself only applies
 simple reflections from the Cartan matrix.
+``oracle_sigma_shift``, ``oracle_tau`` and ``oracle_translates`` are the
+translation step done per edge: each edge looks up its reflection, its
+target coset and the strings of M on the spot.  They are the route that the
+package's walk over cached per-(z, P) step tables is checked against.
 """
 
 from collections import deque
@@ -29,8 +33,11 @@ from itertools import combinations
 
 from nashblowup import grassmann
 from nashblowup import nashcore
+from nashblowup import peterson
 from nashblowup import rootsystem
 from nashblowup import weyl
+from nashblowup.peterson import PetersonState, TranslationGraph
+from nashblowup.rootsystem import InvariantViolation
 from nashblowup.weyl import WeylElement, bruhat_leq, identity, multiply, _right_mult
 
 
@@ -200,6 +207,101 @@ def _reflect(system, alpha, beta):
     out = tuple(b - c * a for b, a in zip(beta, alpha))
     assert not system.is_root(beta) or system.is_root(out), out
     return out
+
+
+def _oracle_sigma_shift(z, p, m, alpha):
+    """sigma_alpha on a mask, packing each string of M as it is met."""
+    ambient = peterson.ambient_weights(z, p)
+    if m & ~ambient:
+        raise ValueError("weight set must live inside the ambient set of z")
+    out = m
+    for smask, ix in peterson._gamma_strings(z.system, alpha):
+        inside = ambient & smask
+        if not m & smask or not inside & (inside - 1):
+            continue  # M misses the string, or holds its one ambient root
+        if inside == smask:
+            b = 0  # the whole string is ambient: its bottom is the one minimum
+        else:
+            bottoms = [
+                k
+                for k, i in enumerate(ix)
+                if inside >> i & 1 and not (k and inside >> ix[k - 1] & 1)
+            ]
+            if len(bottoms) != 1:
+                raise InvariantViolation(f"alpha-minimal not unique along {alpha}")
+            b = bottoms[0]
+        packed = 0
+        for i in ix[b : b + (m & smask).bit_count()]:
+            packed |= 1 << i
+        out = out & ~smask | packed
+    if out.bit_count() != m.bit_count():
+        raise InvariantViolation("sigma changed the cardinality of the weight set")
+    return out
+
+
+def _oracle_tau(state, gamma, p):
+    """One translation step, with its reflection and target looked up per call."""
+    z = state.z
+    if gamma not in weyl.left_inversions(z):
+        raise ValueError(f"{gamma} is not a left inversion")
+    refl = weyl.reflection_from_root(z.system, gamma)
+    shifted = _oracle_sigma_shift(z, p, state.mask, gamma)
+    new = 0
+    while shifted:
+        low = shifted & -shifted
+        new |= 1 << refl.perm[low.bit_length() - 1]
+        shifted ^= low
+    new_z = weyl.min_coset_rep(multiply(refl, z), p)
+    if new & ~peterson.ambient_weights(new_z, p):
+        raise InvariantViolation("translated weights left the ambient set")
+    return PetersonState(new_z, new)
+
+
+def _oracle_translates(w, p):
+    """The translation graph by a breadth-first search of states, one
+    ``_oracle_tau`` per edge, neighbors in the sorted order of gamma."""
+    rs = w.system
+    start = PetersonState(w, peterson.weight_mask(rs, weyl.left_inversions(w)))
+    nodes, seen, edges = [start], {start}, []
+    queue = deque([start])
+    while queue:
+        st = queue.popleft()
+        for gamma in sorted(weyl.left_inversions(st.z)):
+            nxt = _oracle_tau(st, gamma, p)
+            if nxt.z.length >= st.z.length:
+                raise InvariantViolation("translation failed to decrease length")
+            edges.append((st, gamma, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                nodes.append(nxt)
+                queue.append(nxt)
+    return TranslationGraph(root=start, nodes=tuple(nodes), edges=tuple(edges))
+
+
+@pytest.fixture(scope="session")
+def oracle_sigma_shift():
+    return _oracle_sigma_shift
+
+
+@pytest.fixture(scope="session")
+def oracle_tau():
+    return _oracle_tau
+
+
+@pytest.fixture(scope="session")
+def oracle_translates():
+    return _oracle_translates
+
+
+@pytest.fixture
+def fresh_step_tables():
+    """Empty the step tables and the graph memo before and after a test that
+    patches what they are built from, so no patched table outlives it."""
+    peterson._step_table.cache_clear()
+    peterson.eventual_translates.cache_clear()
+    yield
+    peterson._step_table.cache_clear()
+    peterson.eventual_translates.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -287,6 +287,10 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["verify", "--skip-translates", "--skip-fibers", "--max-n-coess", "1"],
         ["verify", "--skip-translates", "--skip-coess", "--max-n-fibers", "1"],
         ["verify", "--max-n-fibers", "0"],
+        # every sweep skipped: nothing would be checked
+        ["verify", "--skip-translates", "--skip-coess", "--skip-fibers"],
+        ["verify", "--skip-translates", "--skip-coess", "--skip-fibers",
+         "--format", "json"],
         # a --types list that is empty or malformed, names a type twice, or
         # names one outside the supported families or above its family's cap
         *(["verify", "--types", types] for types in (

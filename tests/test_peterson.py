@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from nashblowup import grassmann, nashcore, peterson, rootsystem, weyl, zelevinsky
+from nashblowup import grassmann, nashcore, peterson, rootsystem, sweeps, weyl, zelevinsky
 from nashblowup.peterson import (
     PetersonState,
     ambient_weights,
@@ -261,7 +261,7 @@ def test_alpha_minimal_requires_unique_bottom():
         alpha_minimal(block, (0, 1, 0), ambient)
 
 
-def test_sigma_shift_rejects_a_gapped_block(monkeypatch):
+def test_sigma_shift_rejects_a_gapped_block(monkeypatch, fresh_step_tables):
     # the two ends of the alpha3-string a2, a2+a3, a2+2a3 of B3, without its
     # middle: both ends look minimal, so the string structure is broken
     rs = rootsystem.root_system("B", 3)
@@ -270,6 +270,15 @@ def test_sigma_shift_rejects_a_gapped_block(monkeypatch):
     m = weight_mask(rs, {(0, 1, 2)})
     with pytest.raises(InvariantViolation, match="not unique"):
         sigma_shift(identity(rs), parabolic(), m, (0, 0, 1))
+    # the walk meets the same string: w = s3s2 has LInv {a3, a2+2a3}, and its
+    # first step, along a3, packs the string that holds a2+2a3
+    w = from_word(rs, [3, 2])
+    assert left_inversions(w) == {(0, 0, 1), (0, 1, 2)}
+    with_a3 = gapped | weight_mask(rs, {(0, 0, 1)})
+    monkeypatch.setattr(peterson, "ambient_weights", lambda z, p: with_a3)
+    for walk in (eventual_translates, peterson.translate_counts):
+        with pytest.raises(InvariantViolation, match="not unique"):
+            walk(w, parabolic())
 
 
 def test_theorem2_map_golden(a3, a3_datum, a3_w):
@@ -456,12 +465,74 @@ def test_sigma_shift_matches_packing_on_every_edge(name):
         assert nontrivial == 0  # cominuscule: every string is a singleton
 
 
-def test_tau_rejects_weights_leaving_the_ambient_set(monkeypatch, a3_w, a3_parabolic):
+def test_tau_rejects_weights_leaving_the_ambient_set(
+    monkeypatch, fresh_step_tables, a3, a3_w, a3_parabolic
+):
     # an empty ambient set at every target z: the translated mask must not fit
-    state = eventual_translates(a3_w, a3_parabolic).root
+    state = PetersonState(a3_w, weight_mask(a3, left_inversions(a3_w)))
     real = peterson.ambient_weights
     monkeypatch.setattr(
         peterson, "ambient_weights", lambda z, p: real(z, p) if z == a3_w else 0
     )
     with pytest.raises(InvariantViolation, match="left the ambient set"):
         tau(state, A1, a3_parabolic)
+
+
+# -- the walk over step tables against the per-edge oracle ---------------------
+
+
+def _walk_cases(name):
+    if name.startswith("S"):
+        return [_covexillary_seed(w) for w in sweeps.covexillary_perms(int(name[1:]))]
+    if name == "E7/P7 cell":
+        rs = rootsystem.root_system("E", 7)
+        w = from_word(rs, [5, 6, 7, 4, 5, 6, 2, 4, 5, 3, 4, 1, 3, 2, 4, 5, 6, 7])
+        return [(w, ParabolicSubset(frozenset(range(1, 7))))]
+    ct = rootsystem.CartanType(name[0], int(name[1:]))
+    return [(d.w, d.p) for d in sweeps.cominuscule_data([ct])]
+
+
+WALK_CASES = [
+    "S4", "S5", "S6",
+    *(str(ct) for ct in sweeps.DEFAULT_TYPES), "D5", "E6",
+    "E7/P7 cell",
+]
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_walk_matches_the_per_edge_oracle(name, oracle_translates):
+    cases = _walk_cases(name)
+    assert cases
+    for w, p in cases:
+        want = oracle_translates(w, p)
+        eventual_translates.cache_clear()
+        got = eventual_translates(w, p)
+        assert got.root == want.root
+        assert got.nodes == want.nodes
+        assert got.edges == want.edges
+        counts = peterson.translate_counts(w, p)
+        assert counts == Counter(s.z for s in want.nodes)
+        assert list(counts) == list(dict.fromkeys(s.z for s in want.nodes))
+    if name == "E7/P7 cell":
+        assert len(got.nodes) == 620
+
+
+def test_tau_and_sigma_shift_match_the_oracle_on_every_edge(
+    oracle_sigma_shift, oracle_tau
+):
+    w, p = _covexillary_seed((5, 2, 3, 4, 1))
+    for state, gamma, target in eventual_translates(w, p).edges:
+        assert tau(state, gamma, p) == oracle_tau(state, gamma, p) == target
+        assert sigma_shift(state.z, p, state.mask, gamma) == oracle_sigma_shift(
+            state.z, p, state.mask, gamma
+        )
+
+
+def test_step_tables_stay_within_their_bound():
+    # S_6 revisits its (z, P) across walks: tables are reused, never unbounded
+    peterson._step_table.cache_clear()
+    assert sweeps.conjecture_sweep(6).checked == 513
+    info = peterson._step_table.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > info.misses
