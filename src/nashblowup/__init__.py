@@ -12,35 +12,4 @@ representative w in a cominuscule flag variety G/P:
 Everything runs over exact integer arithmetic in simple-root coordinates.
 """
 
-from .rootsystem import (
-    CartanType,
-    InvariantViolation,
-    Root,
-    RootSystem,
-    build,
-    dynkin_diagram,
-    format_root,
-    root_system,
-)
-from .weyl import (
-    ParabolicSubset,
-    WeylElement,
-    bruhat_leq,
-    format_word,
-    from_word,
-    identity,
-    interval_min_reps,
-    inverse,
-    left_inversions,
-    longest_element,
-    lower_interval,
-    max_coset_rep,
-    min_coset_rep,
-    multiply,
-    parabolic,
-    reduced_word,
-    reflection_from_root,
-    simple_reflection,
-)
-
 __version__ = "0.1.0"

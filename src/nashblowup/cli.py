@@ -64,24 +64,20 @@ class UsageError(Exception):
     pass
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"could not parse {what} from {text!r}") from None
+def _parse_ints(text: str, what: str, compact: bool = False) -> list[int]:
+    """ASCII digit tokens split at commas and spaces, or one digit each."""
+    parts = list(text.strip()) if compact else text.replace(",", " ").split()
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise UsageError(f"could not parse {what} from {text!r}")
+    return [int(p) for p in parts]
 
 
 def _parse_perm(text: str) -> grassmann.Permutation:
-    if "," in text or " " in text:
-        vals = _parse_ints(text, "permutation")
-    else:
-        # compact one-line form, only unambiguous for n <= 9
-        digits = text.strip()
-        if not (digits.isascii() and digits.isdigit()):
-            raise UsageError(f"could not parse permutation from {text!r}")
-        vals = [int(ch) for ch in digits]
-    perm = tuple(vals)
+    # the compact one-line form, such as 2413, is only unambiguous for n <= 9
+    compact = "," not in text and " " not in text
+    perm = tuple(_parse_ints(text, "permutation", compact))
+    if not perm:
+        raise UsageError(f"--perm {text!r}: the permutation is empty")
     try:
         grassmann.check_permutation(perm)
     except ValueError as exc:

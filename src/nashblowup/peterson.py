@@ -59,8 +59,6 @@ __all__ = [
     "weight_mask",
     "mask_roots",
     "ambient_weights",
-    "sigma_shift",
-    "tau",
     "translate_counts",
     "eventual_translates",
     "theorem2_map",
@@ -225,22 +223,6 @@ def _shift(m: int, packings: tuple, gamma: Root) -> int:
     return out
 
 
-def sigma_shift(z: WeylElement, p: ParabolicSubset, m: int, alpha: Root) -> int:
-    """Pack each alpha-string of M into the positions nearest its minimal element.
-
-    M and the result are masks.  The minimal element mu of a string is its
-    ambient member with mu - alpha outside the ambient set; it must be
-    unique on every string that holds two or more ambient roots and meets M.
-    c weights of M on the string become {mu, mu + alpha, ..., mu + (c-1)
-    alpha}, so full blocks and strings with one ambient member are left
-    unchanged.
-    """
-    ambient = ambient_weights(z, p)
-    if m & ~ambient:
-        raise ValueError("weight set must live inside the ambient set of z")
-    return _shift(m, _packings(z.system, alpha, ambient), alpha)
-
-
 # the walks of different w meet the same (z, P), so tables are reused across
 # walks; the bound keeps the memory of a long sweep flat
 @lru_cache(maxsize=2048)
@@ -276,20 +258,6 @@ def _translate(m: int, step: tuple) -> int:
     if new & ~ambient:
         raise InvariantViolation("translated weights left the ambient set")
     return new
-
-
-def tau(state: PetersonState, gamma: Root, p: ParabolicSubset) -> PetersonState:
-    """One translation step along a left inversion gamma of z."""
-    z = state.z
-    if gamma not in left_inversions(z):
-        raise ValueError(
-            f"{format_root(gamma)} is not a left inversion of "
-            f"{format_word(reduced_word(z))}"
-        )
-    if state.mask & ~ambient_weights(z, p):
-        raise ValueError("weight set must live inside the ambient set of z")
-    step = next(s for s in _step_table(z, p) if s[0] == gamma)
-    return PetersonState(step[1], _translate(state.mask, step))
 
 
 def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list:

@@ -1,8 +1,10 @@
 """Exhaustive small-rank verification sweeps.
 
 Each sweep returns a :class:`SweepOutcome` whose ``failures`` list is empty
-exactly when the property holds on all of its data.  The sweeps are the
-library form of the CLI ``verify`` subcommand and of the acceptance tests.
+exactly when the property holds on all of its data.  The sweeps of the
+first four checks below are the library form of the CLI ``verify``
+subcommand; :func:`conjecture_sweep`, the fifth, is that of
+``conjecture --n`` only.
 :func:`cominuscule_sweep` makes the first two checks in one walk over the
 cominuscule data, building each datum's translation graph once;
 :func:`theorem2_sweep` and :func:`singular_agreement_sweep` return its halves.
@@ -14,7 +16,10 @@ cominuscule data, building each datum's translation graph once;
 * coessential closed form: the box formula for the Nash parabolic's maximal
   representative agrees with the direct computation, ranks included;
 * fiber-product counts: Nash fiber size, resolution fiber product and
-  per-point translate count agree on every Grassmannian fixed point.
+  per-point translate count agree on every Grassmannian fixed point;
+* fiber-product conjecture: the resolution fiber product equals the
+  translate count at every fixed point of every covexillary w in S_n
+  (from S_5 on it fails, on the w containing 52341).
 """
 
 from __future__ import annotations

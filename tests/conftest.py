@@ -18,10 +18,11 @@ level-by-level ``rootsystem._generate_positives`` is checked against.
 Cartan matrix ``bilinear``, the forms that ``weyl.reflection_from_root`` and
 the root permutations are checked against; the package itself only applies
 simple reflections from the Cartan matrix.
-``oracle_sigma_shift``, ``oracle_tau`` and ``oracle_translates`` are the
-translation step done per edge: each edge looks up its reflection, its
-target coset and the strings of M on the spot.  They are the route that the
-package's walk over cached per-(z, P) step tables is checked against.
+``oracle_translates`` is the translation graph with the step done per edge
+(``_oracle_tau`` after ``_oracle_sigma_shift``): each edge looks up its
+reflection, its target coset and the strings of M on the spot.  It is the
+route that the package's walk over cached per-(z, P) step tables, the only
+translation step in the package, is checked against.
 """
 
 from collections import deque
@@ -276,16 +277,6 @@ def _oracle_translates(w, p):
                 nodes.append(nxt)
                 queue.append(nxt)
     return TranslationGraph(root=start, nodes=tuple(nodes), edges=tuple(edges))
-
-
-@pytest.fixture(scope="session")
-def oracle_sigma_shift():
-    return _oracle_sigma_shift
-
-
-@pytest.fixture(scope="session")
-def oracle_tau():
-    return _oracle_tau
 
 
 @pytest.fixture(scope="session")

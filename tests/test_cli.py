@@ -314,11 +314,29 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         # a compact permutation takes ASCII digits only
         ["nash", "--perm", "2x13"],
         ["grassmann", "--perm", "\u00b21"],
+        # comma and space forms take ASCII digit tokens only: no other
+        # scripts' digits and no sign
+        ["grassmann", "--perm", "\u0662,\u0661,\u0663"],
+        ["conjecture", "--perm", "\u0665,\u0662,\u0663,\u0664,\u0661"],
+        ["nash", *A3_ARGS[:-1], "\u0661,\u0663,\u0662"],
+        ["nash", *A3_ARGS[:-1], "+2"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+    # an empty permutation is named as such, not read as the identity or as
+    # a rank or size out of range
+    for argv in (
+        ["grassmann", "--perm", " "],
+        ["grassmann", "--perm", ","],
+        ["nash", "--perm", " "],
+        ["conjecture", "--perm", " "],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --perm {argv[-1]!r}: the permutation is empty\n"
 
 
 OPTIONS = {

@@ -18,8 +18,6 @@ from nashblowup.peterson import (
     graph_to_dot,
     graph_to_json,
     mask_roots,
-    sigma_shift,
-    tau,
     theorem2_map,
     verify_theorem2,
     weight_mask,
@@ -118,7 +116,7 @@ def test_ambient_weights_invariant_on_coset(a3, a3_parabolic):
     )
 
 
-# -- the string-key packing, an independent oracle for sigma_shift -------------
+# -- the string-key packing, an independent oracle for the packing sigma -------
 
 
 def _string_key(beta, alpha):
@@ -136,7 +134,7 @@ def alpha_strings(z, p, alpha):
     """Partition of the ambient set into strings modulo Z alpha.
 
     Unlike the true root strings this puts alpha and -alpha in one class;
-    no ambient set contains both, so the blocks agree with sigma_shift's.
+    no ambient set contains both, so the blocks agree with the walk's.
     Blocks are returned sorted by their minimal element, for determinism.
     """
     if not z.system.is_root(alpha):
@@ -211,10 +209,13 @@ class TestStringsOnCovexillarySeed:
         block = frozenset({self.B_NA2, self.B_A1})
         assert alpha_minimal(block, self.GAMMA, amb) == self.B_NA2
 
+    def _shift(self, z, p, m):
+        packings = peterson._packings(z.system, self.GAMMA, ambient_weights(z, p))
+        return peterson._shift(m, packings, self.GAMMA)
+
     def test_sigma_shift(self, seed):
         rs, z, p = seed
-        m = weight_mask(rs, left_inversions(z))
-        shifted = sigma_shift(z, p, m, self.GAMMA)
+        shifted = self._shift(z, p, weight_mask(rs, left_inversions(z)))
         assert mask_roots(rs, shifted) == frozenset(
             {
                 (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1),
@@ -225,19 +226,29 @@ class TestStringsOnCovexillarySeed:
     def test_sigma_shift_moves_a_lone_weight_down(self, seed):
         # one weight per string is still packed to the string's bottom
         rs, z, p = seed
-        shifted = sigma_shift(z, p, weight_mask(rs, {self.B_A1}), self.GAMMA)
+        shifted = self._shift(z, p, weight_mask(rs, {self.B_A1}))
         assert mask_roots(rs, shifted) == frozenset({self.B_NA2})
 
-    def test_sigma_shift_rejects_weights_outside_the_ambient_set(self, seed):
+    def test_walk_rejects_a_start_outside_the_ambient_set(
+        self, seed, monkeypatch, fresh_step_tables
+    ):
+        # an ambient set at z without a1, one of LInv(z): the start (z, LInv(z))
+        # does not fit, so neither walk takes a step
         rs, z, p = seed
-        outside = weight_mask(rs, {(0, 1, 0, 0)})  # a2: only -a2 is ambient
-        with pytest.raises(ValueError, match="ambient set"):
-            sigma_shift(z, p, outside, self.GAMMA)
+        real = peterson.ambient_weights
+        without_a1 = ~weight_mask(rs, {self.B_A1})
+        monkeypatch.setattr(
+            peterson, "ambient_weights",
+            lambda v, q: real(v, q) & without_a1 if v == z else real(v, q),
+        )
+        for walk in (eventual_translates, peterson.translate_counts):
+            with pytest.raises(ValueError, match="ambient set"):
+                walk(z, p)
 
     def test_tau_step(self, seed):
-        rs, z, p = seed
-        state = PetersonState(z, weight_mask(rs, left_inversions(z)))
-        out = tau(state, self.GAMMA, p)
+        _, z, p = seed
+        graph = eventual_translates(z, p)
+        (out,) = (b for a, g, b in graph.edges if a == graph.root and g == self.GAMMA)
         assert grassmann.weyl_to_perm(out.z) == (2, 5, 1, 3, 4)
         assert out.weights == frozenset(
             {
@@ -245,12 +256,6 @@ class TestStringsOnCovexillarySeed:
                 (1, 0, 0, 0), (1, 1, 1, 1),
             }
         )
-
-
-def test_tau_rejects_non_inversion(a3, a3_w, a3_parabolic):
-    state = PetersonState(a3_w, weight_mask(a3, left_inversions(a3_w)))
-    with pytest.raises(ValueError):
-        tau(state, A2, a3_parabolic)  # a2 is not a left inversion of w
 
 
 def test_alpha_minimal_requires_unique_bottom():
@@ -263,19 +268,14 @@ def test_alpha_minimal_requires_unique_bottom():
 
 def test_sigma_shift_rejects_a_gapped_block(monkeypatch, fresh_step_tables):
     # the two ends of the alpha3-string a2, a2+a3, a2+2a3 of B3, without its
-    # middle: both ends look minimal, so the string structure is broken
+    # middle: both ends look minimal, so the string structure is broken.
+    # w = s3s2 has LInv {a3, a2+2a3}, and the walk's first step, along a3,
+    # packs the string that holds a2+2a3
     rs = rootsystem.root_system("B", 3)
-    gapped = weight_mask(rs, {(0, 1, 0), (0, 1, 2)})
-    monkeypatch.setattr(peterson, "ambient_weights", lambda z, p: gapped)
-    m = weight_mask(rs, {(0, 1, 2)})
-    with pytest.raises(InvariantViolation, match="not unique"):
-        sigma_shift(identity(rs), parabolic(), m, (0, 0, 1))
-    # the walk meets the same string: w = s3s2 has LInv {a3, a2+2a3}, and its
-    # first step, along a3, packs the string that holds a2+2a3
     w = from_word(rs, [3, 2])
     assert left_inversions(w) == {(0, 0, 1), (0, 1, 2)}
-    with_a3 = gapped | weight_mask(rs, {(0, 0, 1)})
-    monkeypatch.setattr(peterson, "ambient_weights", lambda z, p: with_a3)
+    gapped = weight_mask(rs, {(0, 0, 1), (0, 1, 0), (0, 1, 2)})
+    monkeypatch.setattr(peterson, "ambient_weights", lambda z, p: gapped)
     for walk in (eventual_translates, peterson.translate_counts):
         with pytest.raises(InvariantViolation, match="not unique"):
             walk(w, parabolic())
@@ -451,7 +451,6 @@ def test_sigma_shift_matches_packing_on_every_edge(name):
         nontrivial += any(len(b) > 1 for b in blocks)
         three_fill.update(len(b & state.weights) for b in blocks if len(b) == 3)
         expected = _packed(z, p, state.weights, gamma)
-        assert mask_roots(z.system, sigma_shift(z, p, state.mask, gamma)) == expected
         refl = weyl.reflection_from_root(z.system, gamma)
         assert target.weights == frozenset(refl(r) for r in expected)
     if "full flag top cell" in name:
@@ -466,16 +465,15 @@ def test_sigma_shift_matches_packing_on_every_edge(name):
 
 
 def test_tau_rejects_weights_leaving_the_ambient_set(
-    monkeypatch, fresh_step_tables, a3, a3_w, a3_parabolic
+    monkeypatch, fresh_step_tables, a3_w, a3_parabolic
 ):
     # an empty ambient set at every target z: the translated mask must not fit
-    state = PetersonState(a3_w, weight_mask(a3, left_inversions(a3_w)))
     real = peterson.ambient_weights
     monkeypatch.setattr(
         peterson, "ambient_weights", lambda z, p: real(z, p) if z == a3_w else 0
     )
     with pytest.raises(InvariantViolation, match="left the ambient set"):
-        tau(state, A1, a3_parabolic)
+        eventual_translates(a3_w, a3_parabolic)
 
 
 # -- the walk over step tables against the per-edge oracle ---------------------
@@ -515,17 +513,6 @@ def test_walk_matches_the_per_edge_oracle(name, oracle_translates):
         assert list(counts) == list(dict.fromkeys(s.z for s in want.nodes))
     if name == "E7/P7 cell":
         assert len(got.nodes) == 620
-
-
-def test_tau_and_sigma_shift_match_the_oracle_on_every_edge(
-    oracle_sigma_shift, oracle_tau
-):
-    w, p = _covexillary_seed((5, 2, 3, 4, 1))
-    for state, gamma, target in eventual_translates(w, p).edges:
-        assert tau(state, gamma, p) == oracle_tau(state, gamma, p) == target
-        assert sigma_shift(state.z, p, state.mask, gamma) == oracle_sigma_shift(
-            state.z, p, state.mask, gamma
-        )
 
 
 def test_step_tables_stay_within_their_bound():
