@@ -26,12 +26,12 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import grassmann, nashcore, peterson, sweeps, zelevinsky
+# each command imports its own modules when it runs: start-up loads only these
 from .rootsystem import (
+    DEFAULT_TYPES,
     CartanType,
     InvariantViolation,
     build,
@@ -46,6 +46,9 @@ from .weyl import (
     min_coset_rep,
     reduced_word,
 )
+
+if TYPE_CHECKING:
+    from . import grassmann, nashcore
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -73,6 +76,7 @@ def _parse_ints(text: str, what: str, compact: bool = False) -> list[int]:
 
 
 def _parse_perm(text: str) -> grassmann.Permutation:
+    from . import grassmann
     # the compact one-line form, such as 2413, is only unambiguous for n <= 9
     compact = "," not in text and " " not in text
     perm = tuple(_parse_ints(text, "permutation", compact))
@@ -121,9 +125,13 @@ def _parse_types(text: str) -> list[CartanType]:
 
 
 def _build_datum(args: argparse.Namespace) -> nashcore.SchubertDatum:
+    from . import nashcore
     if args.perm is not None and args.word is not None:
         raise UsageError("give one of --word or --perm, not both")
-    perm = None if args.perm is None else _parse_perm(args.perm)
+    perm = None
+    if args.perm is not None:
+        from . import grassmann  # a --word datum never loads the type-A module
+        perm = _parse_perm(args.perm)
     family, rank, node = args.type, args.rank, args.node
     if family is None or rank is None:
         # a type-A permutation input determines the type and rank
@@ -196,11 +204,12 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             os.close(devnull)
 
 
-def _json_value(x: object, pad: str) -> str:
+def _json_value(x: object, pad: str, memo: dict) -> str:
     """x as ``json.dumps(x, indent=2, sort_keys=True)`` renders it at the
     depth whose newline-plus-indent is ``pad``: one join per container and
     strings through the C escaper (the stdlib drops its C encoder whenever
-    ``indent`` is set, and then yields one string per token)."""
+    ``indent`` is set, and then yields one string per token).  ``memo`` holds
+    the text of each list of ints (a root or a word) per depth and values."""
     t = type(x)
     if t is str:
         return _json_str(x)
@@ -210,14 +219,19 @@ def _json_value(x: object, pad: str) -> str:
         return "null" if x is None else "true" if x else "false"
     inner = pad + "  "
     sep = "," + inner
+    if t is list and x and {int}.issuperset(map(type, x)):
+        key = (pad, *x)  # only ints, so True never meets an equal 1
+        if key not in memo:
+            memo[key] = f"[{inner}{sep.join(map(int.__repr__, x))}{pad}]"
+        return memo[key]
     parts = []
     if t is list:
         for v in x:
-            parts += (sep, _json_value(v, inner))
+            parts += (sep, _json_value(v, inner, memo))
         ends = "[]"
     elif t is dict:
         for k in sorted(x):  # _json_str raises TypeError on a key not a str
-            parts += (sep, _json_str(k), ": ", _json_value(x[k], inner))
+            parts += (sep, _json_str(k), ": ", _json_value(x[k], inner, memo))
         ends = "{}"
     else:
         raise TypeError(f"{t.__name__} is not a JSON report value")
@@ -233,13 +247,13 @@ def _json_dumps(payload: object) -> str:
 
     Reports hold only dict with str keys, list, str, int, bool and None;
     anything else, a float or a tuple included, raises TypeError."""
-    return _json_value(payload, "\n")
+    return _json_value(payload, "\n", {})
 
 
 # -- nash ------------------------------------------------------------------
 
 
-def _nash_text(d: nashcore.SchubertDatum, report: dict) -> str:
+def _nash_text(d: nashcore.SchubertDatum, report: dict, tangent: frozenset) -> str:
     rs = d.system
     lines = [
         f"type: {rs.cartan_type}",
@@ -264,18 +278,19 @@ def _nash_text(d: nashcore.SchubertDatum, report: dict) -> str:
     )
     lines.append(
         "tangent roots: "
-        + ", ".join(format_root(b) for b in nashcore.tangent_roots(d))
+        + ", ".join(format_root(b) for b in tangent)
     )
     return "\n".join(lines)
 
 
 def cmd_nash(args: argparse.Namespace) -> int:
+    from . import nashcore
     d = _build_datum(args)
     report = nashcore.nash_report(d)
     if args.format == "json":
         _emit(_json_dumps(report), args)
     else:
-        _emit(_nash_text(d, report), args)
+        _emit(_nash_text(d, report, nashcore.tangent_roots(d)), args)
     return 0
 
 
@@ -283,6 +298,7 @@ def cmd_nash(args: argparse.Namespace) -> int:
 
 
 def cmd_peterson(args: argparse.Namespace) -> int:
+    from . import peterson
     d = _build_datum(args)
     graph = peterson.eventual_translates(d.w, d.p)
     if args.format == "dot":
@@ -322,6 +338,7 @@ def cmd_peterson(args: argparse.Namespace) -> int:
 
 
 def _grassmann_payload(w: grassmann.Permutation, k: int) -> dict:
+    from . import grassmann
     n = len(w)
     lam = grassmann.partition_of(w, k)
     levi_q = grassmann.delta_w_perm(w, k)
@@ -348,17 +365,22 @@ def _grassmann_payload(w: grassmann.Permutation, k: int) -> dict:
 
 
 def cmd_grassmann(args: argparse.Namespace) -> int:
+    from . import grassmann
     w = _parse_perm(args.perm)
     n = len(w)
     k = grassmann.grassmannian_descent(w)
     if k is None:
         raise UsageError(f"{w} is not Grassmannian; it has more than one descent")
     if k == 0:
-        _emit(
-            "identity permutation: the variety is a point and its "
-            "Nash blow-up is trivially smooth",
-            args,
-        )
+        if args.format == "json":
+            point = {"n": n, "k": 0, "w": list(w), "point": True, "smooth": True}
+            _emit(_json_dumps(point), args)
+        else:
+            _emit(
+                "identity permutation: the variety is a point and its "
+                "Nash blow-up is trivially smooth",
+                args,
+            )
         return 0
     payload = _grassmann_payload(w, k)
     if args.format == "json":
@@ -384,6 +406,7 @@ def cmd_grassmann(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    from . import grassmann, sweeps, zelevinsky
     if (args.perm is None) == (args.n is None):
         raise UsageError("give one of --perm or --n")
     if args.perm is not None:
@@ -421,7 +444,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         raise UsageError(f"--jobs {jobs}: choose 1..{cpus} worker processes")
     outcome = sweeps.conjecture_sweep(args.n, jobs=jobs)
     if args.format == "json":
-        _emit(_json_dumps(asdict(outcome)), args)
+        _emit(_json_dumps(outcome.to_json()), args)
     else:
         _emit(outcome.summary(), args)
     return 0 if outcome.ok else CHECK_FAILED
@@ -431,6 +454,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import sweeps
     types = _parse_types(args.types)
     for flag, limit in VERIFY_LIMITS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -450,7 +474,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         outcomes.append(sweeps.fiberproduct_sweep(args.max_n_fibers))
     bad = [o for o in outcomes if not o.ok]
     if args.format == "json":
-        _emit(_json_dumps([asdict(o) | {"ok": o.ok} for o in outcomes]), args)
+        _emit(_json_dumps([o.to_json() | {"ok": o.ok} for o in outcomes]), args)
     else:
         _emit("\n".join(o.summary() for o in outcomes), args)
     return CHECK_FAILED if bad else 0
@@ -465,14 +489,7 @@ def cmd_types(args: argparse.Namespace) -> int:
     if args.type:
         specs = [_cartan_type(args.type, args.rank)]
     else:
-        specs = [
-            CartanType("A", 3),
-            CartanType("B", 3),
-            CartanType("C", 3),
-            CartanType("D", 4),
-            CartanType("E", 6),
-            CartanType("E", 7),
-        ]
+        specs = [CartanType(t[0], int(t[1])) for t in "A3 B3 C3 D4 E6 E7".split()]
     blocks = []
     for ct in specs:
         rs = build(ct)
@@ -540,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = subs.add_parser("verify", help="small-rank verification sweeps")
     p_ver.add_argument(
         "--types",
-        default=",".join(map(str, sweeps.DEFAULT_TYPES)),
+        default=",".join(map(str, DEFAULT_TYPES)),
         help="Cartan types of the cominuscule sweep, e.g. D5,E6 (default %(default)s)",
     )
     for flag, default, what in (

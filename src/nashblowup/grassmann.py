@@ -28,8 +28,8 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsystem import InvariantViolation, RootSystem
 from .weyl import WeylElement, _from_indices, _simple_indices
@@ -63,17 +63,15 @@ __all__ = [
 Permutation = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class CoessBox:
-    """A coessential box (p, q) with its rank number r."""
+class CoessBox(NamedTuple("CoessBox", [("p", int), ("q", int), ("r", int)])):
+    """A coessential box (p, q) with its rank number r; ordered as (p, q, r)."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= min(self.p, self.q):
-            raise ValueError(f"rank {self.r} outside 1..min({self.p},{self.q})")
+    def __new__(cls, p: int, q: int, r: int) -> CoessBox:
+        if not 1 <= r <= min(p, q):
+            raise ValueError(f"rank {r} outside 1..min({p},{q})")
+        return super().__new__(cls, p, q, r)
 
     @property
     def is_inclusion(self) -> bool:
@@ -340,8 +338,7 @@ def nash_blowup_smooth(p: Permutation, k: int) -> bool:
 # -- configuration-space description ----------------------------------------
 
 
-@dataclass(frozen=True)
-class NashConfig:
+class NashConfig(NamedTuple):
     """The flag-variety model of the Nash blow-up of a Grassmannian variety."""
 
     n: int

@@ -15,7 +15,6 @@ points of X_w^P, and hence the smooth locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootsystem import Root, RootSystem, format_root
@@ -30,6 +29,7 @@ from .weyl import (
     min_coset_rep,
     reduced_word,
     _check_levi,
+    _read_only,
 )
 
 __all__ = [
@@ -59,32 +59,50 @@ class NotCominusculeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class SchubertDatum:
-    """A cominuscule maximal parabolic P and a minimal coset representative w."""
+    """A cominuscule maximal parabolic P and a minimal coset representative w.
 
-    system: RootSystem
-    p: ParabolicSubset
-    w: WeylElement
+    Immutable; its hash, that of ``(system, p, w)``, is taken once."""
 
-    def __post_init__(self) -> None:
-        rs = self.system
-        _check_levi(rs, self.p)
-        missing = frozenset(range(1, rs.rank + 1)) - self.p.levi
+    __slots__ = ("system", "p", "w", "_hash")
+
+    def __init__(self, system: RootSystem, p: ParabolicSubset, w: WeylElement) -> None:
+        _check_levi(system, p)
+        missing = frozenset(range(1, system.rank + 1)) - p.levi
         if len(missing) != 1:
             raise ValueError(
-                f"levi {sorted(self.p.levi)} must omit exactly one of 1..{rs.rank}"
+                f"levi {sorted(p.levi)} must omit exactly one of 1..{system.rank}"
             )
         (idx,) = missing
-        if idx not in rs.cominuscule_simples:
-            raise NotCominusculeError(rs, idx)
-        if self.w.system is not rs:
+        if idx not in system.cominuscule_simples:
+            raise NotCominusculeError(system, idx)
+        if w.system is not system:
             raise ValueError("w belongs to a different root system")
-        if not is_min_coset_rep(self.w, self.p):
+        if not is_min_coset_rep(w, p):
             raise ValueError(
-                f"w = {format_word(reduced_word(self.w))} is not a minimal coset "
-                f"representative for levi {sorted(self.p.levi)}"
+                f"w = {format_word(reduced_word(w))} is not a minimal coset "
+                f"representative for levi {sorted(p.levi)}"
             )
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_hash", hash((system, p, w)))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SchubertDatum:
+            return False
+        return (self.system, self.p, self.w) == (other.system, other.p, other.w)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return SchubertDatum, (self.system, self.p, self.w)
+
+    def __repr__(self) -> str:
+        return f"SchubertDatum(system={self.system!r}, p={self.p!r}, w={self.w!r})"
 
     @property
     def cominuscule_index(self) -> int:

@@ -33,9 +33,8 @@ carries two distinct eventual translates (v, N) != (v, N'); see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rootsystem import InvariantViolation, Root, RootSystem, format_root
 from . import nashcore
@@ -125,8 +124,7 @@ class PetersonState:
         return f"({format_word(reduced_word(self.z))}, {{{ws}}})"
 
 
-@dataclass(frozen=True)
-class TranslationGraph:
+class TranslationGraph(NamedTuple):
     """Translation states in BFS discovery order, with labeled edges."""
 
     root: PetersonState
@@ -340,8 +338,7 @@ def _theorem2_image(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
     return PetersonState(min_coset_rep(z, d.p), m)
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     """Outcome of comparing the closed-form map with the translation graph."""
 
     ok: bool

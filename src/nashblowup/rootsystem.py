@@ -33,9 +33,8 @@ at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Root",
@@ -57,27 +56,33 @@ class InvariantViolation(RuntimeError):
     """An internal mathematical invariant failed; this always indicates a bug."""
 
 
-@dataclass(frozen=True)
-class CartanType:
-    family: str
-    rank: int
+class CartanType(NamedTuple("CartanType", [("family", str), ("rank", int)])):
+    """A Dynkin family letter and a rank, checked to have a cominuscule node."""
 
-    def __post_init__(self) -> None:
-        fam, n = self.family, self.rank
-        if fam in ("F", "G"):
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> CartanType:
+        if family in ("F", "G"):
             raise ValueError(
-                f"type {fam}{n} has no cominuscule node and is not supported"
+                f"type {family}{rank} has no cominuscule node and is not supported"
             )
-        if fam not in _SUPPORTED:
-            raise ValueError(f"unknown family {fam!r}; supported: A, B, C, D, E6, E7")
-        lo = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}[fam]
-        if n < lo:
-            raise ValueError(f"type {fam} needs rank >= {lo}, got {n}")
-        if fam == "E" and n not in (6, 7):
-            raise ValueError(f"type E supports rank 6 or 7 only, got {n}")
+        if family not in _SUPPORTED:
+            raise ValueError(f"unknown family {family!r}; supported: A, B, C, D, E6, E7")
+        lo = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}[family]
+        if rank < lo:
+            raise ValueError(f"type {family} needs rank >= {lo}, got {rank}")
+        if family == "E" and rank not in (6, 7):
+            raise ValueError(f"type E supports rank 6 or 7 only, got {rank}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
+
+
+# the default types of the cominuscule sweeps and verify --types (see sweeps)
+DEFAULT_TYPES = tuple(
+    CartanType(t[0], int(t[1])) for t in "A1 A2 A3 A4 A5 B2 B3 C2 C3 D4".split()
+)
 
 
 def _edges(ct: CartanType) -> list[tuple[int, int]]:

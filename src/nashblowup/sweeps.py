@@ -24,12 +24,11 @@ cominuscule data, building each datum's translation graph once;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import grassmann, nashcore, peterson, zelevinsky
-from .rootsystem import CartanType, build, root_system
+from .rootsystem import DEFAULT_TYPES, CartanType, build, root_system
 from .weyl import (
     ParabolicSubset,
     format_word,
@@ -53,11 +52,24 @@ __all__ = [
 ]
 
 
-@dataclass
 class SweepOutcome:
-    label: str
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
+    """A sweep's label, data count and failure records, filled in as it runs."""
+
+    def __init__(
+        self, label: str, checked: int = 0, failures: list[dict] | None = None
+    ) -> None:
+        self.label = label
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SweepOutcome and self.to_json() == other.to_json()
+
+    def __repr__(self) -> str:
+        return f"SweepOutcome({self.label!r}, {self.checked}, {self.failures!r})"
+
+    def to_json(self) -> dict:
+        return {"label": self.label, "checked": self.checked, "failures": self.failures}
 
     @property
     def ok(self) -> bool:
@@ -66,12 +78,6 @@ class SweepOutcome:
     def summary(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.failures)} failure(s)"
         return f"{self.label}: checked {self.checked}, {verdict}"
-
-
-# the types the cominuscule sweeps take by default, verify --types included
-DEFAULT_TYPES = tuple(
-    CartanType(t[0], int(t[1])) for t in "A1 A2 A3 A4 A5 B2 B3 C2 C3 D4".split()
-)
 
 
 def cominuscule_data(

@@ -19,7 +19,6 @@ always refers to right cosets w W_P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -99,11 +98,36 @@ class WeylElement:
         return rs.roots[self.perm[_simple_indices(rs)[j - 1]]]
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
-    """A standard parabolic, named by the simple indices inside its Levi."""
+def _read_only(self: object, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable slots records."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
-    levi: frozenset[int]
+
+class ParabolicSubset:
+    """A standard parabolic, named by the simple indices inside its Levi.
+
+    Immutable; its hash, the hash of ``(levi,)``, is taken once: a parabolic
+    keys the caches of every layer above."""
+
+    __slots__ = ("levi", "_hash")
+
+    def __init__(self, levi: frozenset[int]) -> None:
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "_hash", hash((levi,)))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ParabolicSubset and self.levi == other.levi
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return ParabolicSubset, (self.levi,)
+
+    def __repr__(self) -> str:
+        return f"ParabolicSubset(levi={self.levi!r})"
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.levi)) + "}"

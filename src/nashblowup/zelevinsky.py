@@ -20,8 +20,8 @@ representative of w W_P sitting at that point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .grassmann import (
     CoessBox,
@@ -35,7 +35,7 @@ from .grassmann import (
     _sortable,
 )
 from .peterson import translate_counts
-from .rootsystem import root_system
+from .rootsystem import InvariantViolation, root_system
 from .weyl import ParabolicSubset, WeylElement, interval_min_reps
 
 __all__ = [
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CovexillaryDatum:
+class CovexillaryDatum(NamedTuple):
     """A covexillary permutation with its descent parabolic and sorted boxes."""
 
     w: Permutation
@@ -62,8 +61,7 @@ class CovexillaryDatum:
     boxes: tuple[CoessBox, ...]
 
 
-@dataclass(frozen=True)
-class CoordFlag:
+class CoordFlag(NamedTuple):
     """Coordinate subspaces S_{q_1} <= ... <= S_{q_m}, one step per box."""
 
     steps: tuple[tuple[int, ...], ...]
@@ -98,7 +96,7 @@ def _fixed_points(d: CovexillaryDatum, seed: WeylElement) -> list[tuple]:
         out.append((v, z, CoordFlag(tuple(tuple(sorted(v[: b.q])) for b in d.boxes))))
     out.sort(key=lambda t: t[0])
     if len({f for _, _, f in out}) != len(out):
-        raise RuntimeError("fixed flags failed to separate fixed points")
+        raise InvariantViolation("fixed flags failed to separate fixed points")
     return out
 
 
@@ -173,8 +171,7 @@ def fiberproduct_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
     return z_count * zdual_count
 
 
-@dataclass(frozen=True)
-class ConjecturePoint:
+class ConjecturePoint(NamedTuple):
     v: Permutation
     z_count: int
     zdual_count: int
@@ -186,8 +183,7 @@ class ConjecturePoint:
         return self.product == self.peterson_count
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     w: Permutation
     seed: Permutation  # the minimal representative fed to the translation engine
     points: tuple[ConjecturePoint, ...]

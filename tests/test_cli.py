@@ -1,6 +1,7 @@
 """Command line interface: exit codes, formats, determinism."""
 
 import argparse
+import ast
 import json
 import os
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nashblowup
-from nashblowup import cli, peterson, sweeps
+from nashblowup import cli, peterson, sweeps, zelevinsky
 from nashblowup.cli import MAX_RANK, VERIFY_LIMITS, main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--node", "2", "--word", "1,3,2"]
@@ -104,6 +105,19 @@ def test_grassmann_identity(capsys):
     code, out, _ = run(capsys, ["grassmann", "--perm", "1234"])
     assert code == 0
     assert "trivially smooth" in out
+
+
+@pytest.mark.parametrize("perm", ["1", "123"])
+def test_grassmann_identity_json(capsys, perm):
+    # the identity's report is JSON too: the variety is a point, and smooth
+    code, out, _ = run(capsys, ["grassmann", "--perm", perm, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    n = len(perm)
+    assert payload == {
+        "n": n, "k": 0, "w": list(range(1, n + 1)), "point": True, "smooth": True
+    }
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_grassmann_json(capsys):
@@ -406,18 +420,55 @@ def test_rank_bound_keeps_the_tuple_table_path(capsys):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only --jobs > 1 starts workers; every other run must not pay for
-    # importing multiprocessing at start-up
-    script = (
-        "import sys, nashblowup.cli\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
-        " & set(sys.modules)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=module_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    e6_nash = [
+        "nash", "--type", "E", "--rank", "6", "--node", "1", "--format", "json",
+        "--word", "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1", "--output", os.devnull,
+    ]
+    cases = [
+        # only --jobs > 1 starts workers; every other run must not pay for
+        # importing multiprocessing at start-up
+        ("", {"multiprocessing", "concurrent.futures.process"}),
+        # start-up builds no dataclass and loads no command's own modules:
+        # each command imports them when it runs
+        ("", {"dataclasses", "inspect", "nashblowup.sweeps", "nashblowup.zelevinsky",
+              "nashblowup.peterson", "nashblowup.grassmann"}),
+        # a nash query needs rootsystem, weyl and nashcore
+        (f"assert cli.main({e6_nash!r}) == 0",
+         {"nashblowup.sweeps", "nashblowup.zelevinsky", "nashblowup.grassmann"}),
+    ]
+    for call, unloaded in cases:
+        script = (
+            f"import sys\nfrom nashblowup import cli\n{call}\n"
+            f"print(sorted(set(sys.modules).intersection({sorted(unloaded)!r})))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=module_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", call
+
+
+def test_source_builds_no_code_at_run_time():
+    # no dataclasses (each one costs an exec at import), and no exec or eval
+    for path in Path(nashblowup.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [a.name for a in node.names], path.name
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval"), f"{path.name}:{node.lineno}"
+
+
+def test_fixed_flags_that_collide_exit_1(capsys, monkeypatch):
+    # two fixed points with one flag is an internal fault: one line, no traceback
+    flag = zelevinsky.CoordFlag
+    monkeypatch.setattr(zelevinsky, "CoordFlag", lambda steps: flag(()))
+    code, out, err = run(capsys, ["conjecture", "--perm", "5,2,3,4,1"])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("invariant violated: fixed flags failed to separate")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
@@ -561,8 +612,11 @@ def test_json_encoder_edge_cases():
         "flags": [True, 1, False, 0, None, -1, -(10**30), 10**30],
         "": {"B": 1, "a": 2, "A": 3, "é": 4, "\x00": 5},
         "nested": {"k": [{"x": [True]}, []]},
+        # one int list at two depths, and lists an int-list memo must not merge
+        "roots": [[1, 2], {"deeper": [[1, 2], [1, 1]]}, [1, 2]],
+        "mixed": [[1, 1], [True, 1], [1, True], [1, 1], [True, False], [[], [[]]]],
     }
-    for value in (payload, [], {}, "top", 7, True, None, [[]]):
+    for value in (payload, [], {}, "top", 7, True, None, [[]], [1, 2], [True, 1]):
         assert cli._json_dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
