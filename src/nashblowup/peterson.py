@@ -8,20 +8,25 @@ gamma-minimal element (sigma), applies r_gamma, and projects z back to W^P:
     tau_gamma(z, M) = (min rep of r_gamma z,  r_gamma(sigma_gamma(M))).
 
 Weight sets, ambient sets included, are int bitmasks over the indices of
-``system.roots``: bit i stands for ``system.roots[i]``.  Containment is
-``m & ~ambient == 0``, and r_gamma maps each set bit through the
-reflection's root permutation (Casselman's tables for Weyl elements,
-applied one layer up).  Root tuples appear only when a state is rendered.
+``system.roots`` wherever they are handed out: bit i stands for
+``system.roots[i]``.  Root tuples appear only when a state is rendered.
 
 All of tau but M depends on (z, P) alone, so one bounded cache holds a step
-table per (z, P): per left inversion gamma, the target z', ambient(z'),
+table per (z, P): ambient(z), and per left inversion gamma the target z',
 r_gamma's root permutation, and for each gamma-string with two or more
-ambient roots its packed masks by count.  Iterating from (w, LInv(w)) until
+ambient roots its packed sets by count.  Iterating from (w, LInv(w)) until
 no further translation applies is one breadth-first walk over these
 tables; it yields the translation graph (:func:`eventual_translates`), or
-only the number of states over each z (:func:`translate_counts`).  For
-cominuscule P every string meets the ambient set at most once, so sigma is
-the identity and the states biject with the fixed points of the Nash
+only the number of states over each z (:func:`translate_counts`).  Inside
+the walk M is the ascending sequence of its root indices (``bytes`` up to
+256 roots, a tuple above, as for Weyl elements): r_gamma is one
+``bytes.translate`` through the reflection's root permutation (Casselman's
+tables, applied one layer up) and a sort, sigma counts M on a string by
+deleting the string, and containment in ambient(z) is an emptiness test,
+made once per state.  A state becomes a mask once, when the graph is built.
+
+For cominuscule P every string meets the ambient set at most once, so sigma
+is the identity and the states biject with the fixed points of the Nash
 blow-up; the map witnessing the bijection is :func:`theorem2_map` and the
 check is :func:`verify_theorem2`.
 
@@ -45,11 +50,14 @@ from .weyl import (
     is_min_coset_rep,
     left_inversions,
     min_coset_rep,
-    multiply,
     reduced_word,
-    reflection_from_root,
     _check_levi,
+    _compose,
+    _descend,
+    _element,
     _ideal,
+    _reflection_tables,
+    _table_type,
 )
 
 __all__ = [
@@ -71,24 +79,33 @@ __all__ = [
 ]
 
 
+def _index_mask(indices: Iterable[int]) -> int:
+    """The mask of a set of root indices; the inverse of :func:`_mask_indices`."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 def weight_mask(system: RootSystem, roots: Iterable[Root]) -> int:
     """The bitmask of a set of roots: bit i stands for ``system.roots[i]``."""
-    index = system.index
-    m = 0
-    for r in roots:
-        m |= 1 << index[r]
-    return m
+    return _index_mask(map(system.index.__getitem__, roots))
+
+
+def _mask_indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mask_roots(system: RootSystem, mask: int) -> frozenset[Root]:
     """The roots whose bits are set in ``mask``; the inverse of :func:`weight_mask`."""
     roots = system.roots
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(roots[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
+    return frozenset(roots[i] for i in _mask_indices(mask))
 
 
 class PetersonState:
@@ -140,7 +157,7 @@ def _ambient_indices(system: RootSystem, levi: frozenset[int]) -> tuple[int, ...
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def ambient_weights(z: WeylElement, p: ParabolicSubset) -> int:
     """z(R^- minus R_L^-) as a mask: the ambient set that carries every M."""
     rs = z.system
@@ -180,17 +197,24 @@ def _gamma_strings(system: RootSystem, gamma: Root) -> tuple:
 
 def _packings(system: RootSystem, gamma: Root, ambient: int) -> tuple:
     """:func:`_packing` of each gamma-string with two or more ambient roots."""
+    pack = _table_type(system)
     return tuple(
-        _packing(smask, ix, ambient & smask)
+        _packing(smask, ix, ambient & smask, pack)
         for smask, ix in _gamma_strings(system, gamma)
         if (ambient & smask) & ((ambient & smask) - 1)
     )
 
 
+def _member_set(indices: Iterable[int], pack: type) -> bytes | frozenset[int]:
+    """Root indices in the form the walk deletes: bytes beside bytes
+    tables, a frozenset beside tuple tables."""
+    return bytes(indices) if pack is bytes else frozenset(indices)
+
+
 @lru_cache(maxsize=None)
-def _packing(smask: int, ix: tuple[int, ...], inside: int) -> tuple:
-    """(smask, packed masks by count) for a string ``ix``, bottom first, whose
-    ambient roots are ``inside``.
+def _packing(smask: int, ix: tuple[int, ...], inside: int, pack: type) -> tuple:
+    """(smask, the string's members, packed index sets by count) for a string
+    ``ix``, bottom first, whose ambient roots are ``inside``.
 
     The minimal element mu, the ambient member with mu - gamma not ambient,
     is unique iff the ambient roots form one run; then c weights pack to
@@ -198,71 +222,83 @@ def _packing(smask: int, ix: tuple[int, ...], inside: int) -> tuple:
     None: a weight set meeting the string fails.
     """
     run = [k for k, i in enumerate(ix) if inside >> i & 1]
+    members = _member_set(ix, pack)
     if run[-1] - run[0] != len(run) - 1:
-        return smask, None
-    packed = [0]
-    for i in ix[run[0] : run[-1] + 1]:
-        packed.append(packed[-1] | 1 << i)
-    return smask, tuple(packed)
+        return smask, members, None
+    mu = run[0]
+    return smask, members, tuple(pack(ix[mu : mu + c]) for c in range(len(run) + 1))
 
 
-def _shift(m: int, packings: tuple, gamma: Root) -> int:
-    """sigma_gamma of a mask inside the ambient set the packings were made for."""
-    out = m
-    for smask, packed in packings:
-        c = (m & smask).bit_count()
+def _sigma(m: bytes | tuple[int, ...], packings: tuple, gamma: Root):
+    """sigma_gamma of an index set inside the ambient set the packings were
+    made for: the indices M holds on each string give way to the packed set
+    of as many, so the size never changes."""
+    for smask, members, packed in packings:
+        if type(m) is bytes:
+            rest = m.translate(None, members)
+        else:
+            rest = tuple(i for i in m if i not in members)
+        c = len(m) - len(rest)
         if c:
             if packed is None:
                 msg = f"alpha-minimal element not unique on string {smask:#x} along"
                 raise InvariantViolation(f"{msg} {gamma}")
-            out = out & ~smask | packed[c]
-    if out.bit_count() != m.bit_count():
-        raise InvariantViolation("sigma changed the cardinality of the weight set")
-    return out
+            m = rest + packed[c]
+    return m
+
+
+def _shift(m: int, packings: tuple, gamma: Root) -> int:
+    """:func:`_sigma` on the index set of a mask."""
+    if not packings:
+        return m
+    pack = bytes if type(packings[0][1]) is bytes else tuple
+    return _index_mask(_sigma(pack(_mask_indices(m)), packings, gamma))
 
 
 # the walks of different w meet the same (z, P), so tables are reused across
 # walks; the bound keeps the memory of a long sweep flat
 @lru_cache(maxsize=2048)
-def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple[tuple, ...]:
-    """One step per left inversion gamma of z, in sorted order of gamma.
+def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
+    """(ambient(z), steps): ambient(z) from :func:`ambient_weights` as the
+    root indices the walk deletes, and one step per left inversion gamma of
+    z, in sorted order of gamma.
 
-    A step is (gamma, z', ambient(z'), r_gamma's root permutation, the
-    packings of gamma over ambient(z)), where z', the minimal representative
-    of r_gamma z, must be shorter than z.
+    A step is (gamma, z', r_gamma's padded root table, the packings of gamma
+    over ambient(z)), where z', the minimal representative of r_gamma z, must
+    be shorter than z.
     """
     rs = z.system
     ambient = ambient_weights(z, p)
+    reflections = _reflection_tables(rs)
     steps = []
     for gamma in sorted(left_inversions(z)):
-        refl = reflection_from_root(rs, gamma)
-        target = min_coset_rep(multiply(refl, z), p)
+        table = reflections[rs.index[gamma]]
+        target = _element(rs, _descend(rs, _compose(table, z.perm), p.levi, True))
         if target.length >= z.length:
             raise InvariantViolation("translation failed to decrease length")
-        packings = _packings(rs, gamma, ambient)
-        steps.append((gamma, target, ambient_weights(target, p), refl.perm, packings))
-    return tuple(steps)
+        steps.append((gamma, target, table, _packings(rs, gamma, ambient)))
+    return _member_set(_mask_indices(ambient), _table_type(rs)), tuple(steps)
 
 
-def _translate(m: int, step: tuple) -> int:
-    """r_gamma(sigma_gamma(M)) for one step, checked to lie in ambient(z')."""
-    gamma, _, ambient, perm, packings = step
-    shifted = _shift(m, packings, gamma) if packings else m
-    new = 0
-    while shifted:
-        low = shifted & -shifted
-        new |= 1 << perm[low.bit_length() - 1]
-        shifted ^= low
-    if new & ~ambient:
-        raise InvariantViolation("translated weights left the ambient set")
-    return new
+def _translate(m: bytes | tuple[int, ...], step: tuple) -> bytes | tuple[int, ...]:
+    """r_gamma(sigma_gamma(M)) for one step on an index set: sigma, then one
+    map through r_gamma's table and a sort."""
+    gamma, _, table, packings = step
+    if packings:
+        m = _sigma(m, packings, gamma)
+    if type(m) is bytes:
+        return bytes(sorted(m.translate(table)))
+    return tuple(sorted(map(table.__getitem__, m)))
 
 
 def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list:
     """The (z, M) reached from (w, LInv(w)) in breadth-first order, steps of
-    each in sorted order of gamma; each step is appended to ``edges``, when
-    given, as (source position, gamma, target position).  Only the start is
-    checked to lie in ambient(z): each target is checked as it is made.
+    each in sorted order of gamma, with M as the ascending index set of its
+    roots (bytes up to 256 roots, a tuple above); each step is appended to
+    ``edges``, when given, as (source position, gamma, target position).
+    Each state is checked to lie in ambient(z) when its steps are taken, so
+    before the walk returns: the start raises ValueError, a translate
+    InvariantViolation.
     """
     rs = w.system
     _check_levi(rs, p)
@@ -270,13 +306,22 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
         raise ValueError(
             f"{format_word(reduced_word(w))} is not a minimal coset representative"
         )
-    nodes = [(w, weight_mask(rs, left_inversions(w)))]
-    if nodes[0][1] & ~ambient_weights(w, p):
-        raise ValueError("weight set must live inside the ambient set of z")
-    # keyed by z.perm, hashed in C; an element's __hash__ would run Python code
+    start = sorted(map(rs.index.__getitem__, left_inversions(w)))
+    nodes = [(w, _table_type(rs)(start))]
+    # keyed by z.perm and M, hashed in C; an element's __hash__ would run
+    # Python code.  Only lookups: the order is that of ``nodes``
     position = {(w.perm, nodes[0][1]): 0}
     for src, (z, m) in enumerate(nodes):  # grows while it is read
-        for step in _step_table(z, p):
+        ambient, steps = _step_table(z, p)
+        if type(m) is bytes:
+            outside = m.translate(None, ambient)
+        else:
+            outside = [i for i in m if i not in ambient]
+        if outside and not src:
+            raise ValueError("weight set must live inside the ambient set of z")
+        if outside:
+            raise InvariantViolation("translated weights left the ambient set")
+        for step in steps:
             new = _translate(m, step)
             k = position.setdefault((step[1].perm, new), len(nodes))
             if k == len(nodes):
@@ -296,7 +341,7 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     in a row share it; graphs and states are immutable, so that is safe.
     """
     found: list[tuple[int, Root, int]] = []
-    nodes = tuple(PetersonState(z, m) for z, m in _walk(w, p, found))
+    nodes = tuple(PetersonState(z, _index_mask(m)) for z, m in _walk(w, p, found))
     edges = tuple((nodes[a], gamma, nodes[b]) for a, gamma, b in found)
     return TranslationGraph(root=nodes[0], nodes=nodes, edges=edges)
 
@@ -331,10 +376,7 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
 
 def _theorem2_image(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
     """:func:`theorem2_map` for z already known to be a fixed point of d."""
-    perm = z.perm
-    m = 0
-    for i in _tangent_indices(d):
-        m |= 1 << perm[i]
+    m = _index_mask(map(z.perm.__getitem__, _tangent_indices(d)))
     return PetersonState(min_coset_rep(z, d.p), m)
 
 

@@ -7,7 +7,10 @@ Weyl groups"): ``perm[i]`` is the index in ``system.roots`` of
 lookups, and a product is one ``bytes.translate``.  Tables are ``bytes`` (a
 sixth of a tuple's memory) up to 256 roots, tuples composed by ``map`` above;
 an element hashes as the tuple, which, unlike bytes, ignores PYTHONHASHSEED.
-Elements are interned per root system, so repeated products hit caches.
+Elements are interned per root system.  The walks below (ideals, descent
+chains, words) compose the raw tables themselves, through simple-reflection
+and reflection tables built once per system, and intern only what they
+return.
 
 Ideals {v in W^P : v <= w} are walked down from w by reflections inside W^P
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), never listing W.
@@ -143,6 +146,26 @@ def _check_levi(system: RootSystem, p: ParabolicSubset) -> None:
         raise ValueError(f"levi indices {sorted(bad)} out of range 1..{system.rank}")
 
 
+# bytes.translate wants a 256-entry table; tables are padded by the identity,
+# so padded tables compose to padded tables
+_IDENTITY = bytes(range(256))
+
+
+def _padded(perm: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
+    """A bytes table extended by the identity to 256 entries; tuples as they are."""
+    return perm + _IDENTITY[len(perm) :] if type(perm) is bytes else perm
+
+
+def _compose(outer, inner):
+    """The raw table of outer after inner; a bytes ``outer`` must be padded.
+
+    The composition that the walks share: words, descent chains and ideals.
+    """
+    if type(inner) is bytes:
+        return inner.translate(outer)
+    return tuple(map(outer.__getitem__, inner))
+
+
 @lru_cache(maxsize=None)
 def _element(system: RootSystem, perm: bytes | tuple[int, ...]) -> WeylElement:
     return WeylElement(system, perm)
@@ -154,10 +177,14 @@ def _simple_indices(system: RootSystem) -> tuple[int, ...]:
     return tuple(system.index[a] for a in system.simple_roots)
 
 
+def _table_type(system: RootSystem) -> type:
+    """The type of a system's root tables: bytes up to 256 roots, tuples above."""
+    return bytes if len(system.roots) <= 256 else tuple
+
+
 def _from_indices(system: RootSystem, indices: Iterable[int]) -> WeylElement:
     """The element sending system.roots[i] to system.roots[the i-th index]."""
-    pack = bytes if len(system.roots) <= 256 else tuple
-    return _element(system, pack(indices))
+    return _element(system, _table_type(system)(indices))
 
 
 def _from_images(system: RootSystem, images: Iterable[Root]) -> WeylElement:
@@ -197,16 +224,32 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     return _element(u.system, tuple(map(u.perm.__getitem__, v.perm)))
 
 
-@lru_cache(maxsize=None)
-def _right_mult(w: WeylElement, i: int) -> WeylElement:
-    return multiply(w, simple_reflection(w.system, i))
+@lru_cache(maxsize=16)
+def _simple_steps(system: RootSystem) -> tuple[tuple[int, int, bytes | tuple], ...]:
+    """(i, position of alpha_i, padded table of s_i) for i = 1..rank."""
+    return tuple(
+        (i, k, _padded(simple_reflection(system, i).perm))
+        for i, k in enumerate(_simple_indices(system), 1)
+    )
+
+
+@lru_cache(maxsize=16)
+def _reflection_tables(system: RootSystem) -> tuple[bytes | tuple, ...]:
+    """The padded table of r_beta for each positive root beta, by index."""
+    return tuple(
+        _padded(reflection_from_root(system, beta).perm)
+        for beta in system.positive_roots
+    )
 
 
 def from_word(system: RootSystem, word: Iterable[int]) -> WeylElement:
-    w = identity(system)
+    steps = _simple_steps(system)
+    cur = _padded(identity(system).perm)
     for i in word:
-        w = _right_mult(w, i)
-    return w
+        if not 1 <= i <= system.rank:
+            system.simple_root(i)  # raises ValueError
+        cur = _compose(cur, steps[i - 1][2])
+    return _element(system, cur[: len(system.roots)])
 
 
 def right_descents(w: WeylElement) -> frozenset[int]:
@@ -218,31 +261,51 @@ def right_descents(w: WeylElement) -> frozenset[int]:
     )
 
 
-def _walk(w: WeylElement, steps, word: list[int] | None = None) -> WeylElement:
-    """Right-multiply by s_i, i = min(steps(cur)), until steps(cur) is empty.
+def _descend(
+    system: RootSystem,
+    perm: bytes | tuple[int, ...],
+    levi: Iterable[int],
+    down: bool,
+    word: list[int] | None = None,
+) -> bytes | tuple[int, ...]:
+    """Right-multiply the raw table ``perm`` by s_i, i the least index of
+    ``levi`` at which it has a descent (``down``) or an ascent (not ``down``),
+    until there is none; the final table, ``perm`` itself if no step is taken.
 
     Each step moves the length by one, so a walk longer than the number of
     positive roots means a wrong product; it raises instead of looping.
     """
-    cur = w
-    for _ in range(len(w.system.positive_roots) + 1):
-        ix = steps(cur)
-        if not ix:
-            return cur
-        i = min(ix)
+    n = len(system.positive_roots)
+    steps = [step for step in _simple_steps(system) if step[0] in levi]
+    cur = perm
+    for _ in range(n + 1):
+        for i, k, s in steps:
+            if (cur[k] >= n) is down:
+                break
+        else:
+            return cur if cur is perm else cur[: len(perm)]
         if word is not None:
             word.append(i)
-        cur = _right_mult(cur, i)
+        if cur is perm:  # the first step: pad once, the products stay padded
+            cur = _padded(perm)
+        cur = _compose(cur, s)
     raise InvariantViolation(
-        f"descent walk in {w.system.cartan_type} exceeded the longest length"
+        f"descent walk in {system.cartan_type} exceeded the longest length"
     )
+
+
+def _coset_rep(w: WeylElement, levi: frozenset[int], down: bool) -> WeylElement:
+    """The minimal (``down``) or maximal representative of w W_levi."""
+    perm = _descend(w.system, w.perm, levi, down)
+    return w if perm is w.perm else _element(w.system, perm)
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically greedy reduced word, cached on the element."""
     if w._word is None:
+        rs = w.system
         word: list[int] = []
-        _walk(w, right_descents, word)
+        _descend(rs, w.perm, range(1, rs.rank + 1), True, word)
         w._word = tuple(reversed(word))
     return w._word
 
@@ -276,13 +339,13 @@ def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
 def min_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
     """The minimal length representative of w W_P."""
     _check_levi(w.system, p)
-    return _walk(w, lambda cur: right_descents(cur) & p.levi)
+    return _coset_rep(w, p.levi, True)
 
 
 def max_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
     """The maximal length representative of w W_P (= min rep times w_0 of W_P)."""
     _check_levi(w.system, p)
-    return _walk(w, lambda cur: p.levi - right_descents(cur))
+    return _coset_rep(w, p.levi, False)
 
 
 @lru_cache(maxsize=None)
@@ -296,8 +359,9 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     if v.length > w.length:
         return False
     i = min(right_descents(w))
-    wsi = _right_mult(w, i)
-    vsi = _right_mult(v, i)
+    s = simple_reflection(w.system, i)
+    wsi = multiply(w, s)
+    vsi = multiply(v, s)
     if vsi.length < v.length:
         return bruhat_leq(vsi, wsi)
     return bruhat_leq(v, wsi)
@@ -310,22 +374,27 @@ def _ideal(
     # y = r_gamma v < v for each left inversion gamma of v, so every such y in
     # W^P lies in the ideal; the covers of v in W^P are among them, and
     # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
-    # reaches all of it
-    found = list(tops)
-    rs = found[0].system
+    # reaches all of it.  It runs on raw tables, keyed by the table itself
+    rs = next(iter(tops)).system
     n = len(rs.positive_roots)
+    reflections = _reflection_tables(rs)
     simples = _simple_indices(rs)
     levi_idx = [simples[i - 1] for i in levi]
+    found = [v.perm for v in tops]
     seen = set(found)
     for v in found:  # grows while it is read: a breadth-first walk
-        for j in v.perm[n:]:
-            if j >= n:  # v sends this negative root to a negative one
-                continue
-            y = multiply(reflection_from_root(rs, rs.roots[j]), v)
-            if y not in seen and all(y.perm[k] < n for k in levi_idx):
+        # the positive roots among v(R^-), the left inversions of v
+        if type(v) is bytes:
+            inversions = v[n:].translate(None, _IDENTITY[n:])
+        else:
+            inversions = [j for j in v[n:] if j < n]
+        for j in inversions:
+            y = _compose(reflections[j], v)
+            if y not in seen:  # outside W^P too: each table is tested once
                 seen.add(y)
-                found.append(y)
-    return frozenset(found)
+                if all(y[k] < n for k in levi_idx):
+                    found.append(y)
+    return frozenset(_element(rs, y) for y in found)
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:

@@ -9,6 +9,9 @@ over the identity, and a translation graph with a branch point.
 oracle for ``nashcore.nash_fiber``: it never projects W^Q onto W^P.
 ``perm_to_weyl_by_word`` builds a permutation's element from a reduced word,
 the route that the one-table ``grassmann.perm_to_weyl`` is checked against.
+``descent_walk`` right-multiplies by one simple reflection at a time, the
+route that the raw-table descent walks behind ``weyl.min_coset_rep``,
+``weyl.max_coset_rep`` and ``weyl.reduced_word`` are checked against.
 ``weyl_group``, ``min_reps_perm`` and ``bruhat_leq_perm`` list whole groups
 or quotients and filter them, the brute-force routes that the W^P walk
 ``weyl.interval_min_reps`` is checked against.  ``positive_roots_closure``
@@ -39,7 +42,13 @@ from nashblowup import rootsystem
 from nashblowup import weyl
 from nashblowup.peterson import PetersonState, TranslationGraph
 from nashblowup.rootsystem import InvariantViolation
-from nashblowup.weyl import WeylElement, bruhat_leq, identity, multiply, _right_mult
+from nashblowup.weyl import (
+    WeylElement,
+    bruhat_leq,
+    identity,
+    multiply,
+    simple_reflection,
+)
 
 
 def _wp_fiber_search(v, d):
@@ -60,7 +69,7 @@ def _wp_fiber_search(v, d):
         if not any(any(c < 0 for c in u.column(i)) for i in q_levi):
             fiber.append(multiply(v, u))
         for i in d.p.levi:
-            nxt = _right_mult(u, i)
+            nxt = multiply(u, simple_reflection(u.system, i))
             if nxt.length <= u.length or nxt in seen:
                 continue
             if bruhat_leq(multiply(v, nxt), d.w):
@@ -82,11 +91,31 @@ def _weyl_group(system):
     while queue:
         w = queue.popleft()
         for i in range(1, system.rank + 1):
-            nxt = _right_mult(w, i)
+            nxt = multiply(w, simple_reflection(system, i))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+def _descent_walk(w, indices, down):
+    """(end, steps): right-multiply w by s_i, i the least of ``indices`` at
+    which it has a right descent (``down``) or ascent (not ``down``), one
+    ``multiply`` at a time, until there is none.  With every index and
+    ``down``, the steps read backwards are the greedy reduced word."""
+    steps = []
+    while True:
+        descents = weyl.right_descents(w)
+        moves = [i for i in sorted(indices) if (i in descents) == down]
+        if not moves:
+            return w, tuple(steps)
+        steps.append(moves[0])
+        w = multiply(w, simple_reflection(w.system, moves[0]))
+
+
+@pytest.fixture(scope="session")
+def descent_walk():
+    return _descent_walk
 
 
 def _perm_to_weyl_by_word(system, p):

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import itertools
 import json
 import os
 import shlex
@@ -16,6 +17,7 @@ from nashblowup import cli, peterson, sweeps, zelevinsky
 from nashblowup.cli import MAX_RANK, VERIFY_LIMITS, main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--node", "2", "--word", "1,3,2"]
+E6_TOP = "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1"
 E7_TOP = "7,6,5,4,3,2,4,5,6,7,1,3,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7"
 
 
@@ -422,7 +424,7 @@ def test_rank_bound_keeps_the_tuple_table_path(capsys):
 def test_import_leaves_the_process_pool_unloaded():
     e6_nash = [
         "nash", "--type", "E", "--rank", "6", "--node", "1", "--format", "json",
-        "--word", "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1", "--output", os.devnull,
+        "--word", E6_TOP, "--output", os.devnull,
     ]
     cases = [
         # only --jobs > 1 starts workers; every other run must not pay for
@@ -497,10 +499,12 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_module_entrypoint_deterministic():
-    # str hashes follow PYTHONHASHSEED, so set and dict iteration order may
-    # differ between the two processes; the JSON must not
-    for command in ("nash", "peterson"):
-        cmd = [sys.executable, "-m", "nashblowup", command] + A3_ARGS + [
+    # str and bytes hashes follow PYTHONHASHSEED, so set and dict iteration
+    # order may differ between the two processes; the JSON must not.  The E6
+    # top cell's ideal and translation walks key sets and dicts by raw bytes
+    e6_args = ["--type", "E", "--rank", "6", "--node", "1", "--word", E6_TOP]
+    for command, datum in itertools.product(("nash", "peterson"), (A3_ARGS, e6_args)):
+        cmd = [sys.executable, "-m", "nashblowup", command] + datum + [
             "--format", "json",
         ]
         first, second = (
@@ -574,7 +578,7 @@ TOP_CELLS = {
     "C3": ["--type", "C", "--rank", "3", "--node", "3", "--word", "3,2,3,1,2,3"],
     "D4": ["--type", "D", "--rank", "4", "--node", "1", "--word", "1,2,4,3,2,1"],
     "E6": ["--type", "E", "--rank", "6", "--node", "1",
-           "--word", "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1"],
+           "--word", E6_TOP],
 }
 JSON_COMMANDS = {
     "verify": ["verify"],

@@ -515,6 +515,37 @@ def test_walk_matches_the_per_edge_oracle(name, oracle_translates):
         assert len(got.nodes) == 620
 
 
+@pytest.mark.parametrize("pattern", [(5, 2, 3, 4, 1), (6, 2, 3, 4, 5, 1)], ids=str)
+def test_tuple_table_walk_matches_the_oracle(pattern, oracle_translates):
+    # S_17 (A16, 272 roots) keeps tuple tables, so the walk's weight sets are
+    # tuples and the strings sigma packs are frozensets, not bytes
+    z, p = _covexillary_seed(pattern + tuple(range(len(pattern) + 1, 18)))
+    assert type(z.perm) is tuple
+    want = oracle_translates(z, p)
+    eventual_translates.cache_clear()
+    got = eventual_translates(z, p)
+    assert (got.root, got.nodes, got.edges) == (want.root, want.nodes, want.edges)
+    counts = peterson.translate_counts(z, p)
+    assert counts == Counter(s.z for s in want.nodes)
+    assert list(counts) == list(dict.fromkeys(s.z for s in want.nodes))
+    # sigma packs on some edge: its target is not r_gamma of its source
+    assert any(
+        b.weights != {weyl.reflection_from_root(z.system, g)(r) for r in a.weights}
+        for a, g, b in want.edges
+    )
+
+
+def test_tuple_table_walk_checks_the_ambient_set(monkeypatch, fresh_step_tables):
+    # as on A3 above: an empty ambient set at every target z, now on tuples
+    z, p = _covexillary_seed((5, 2, 3, 4, 1) + tuple(range(6, 18)))
+    real = peterson.ambient_weights
+    monkeypatch.setattr(
+        peterson, "ambient_weights", lambda v, q: real(v, q) if v == z else 0
+    )
+    with pytest.raises(InvariantViolation, match="left the ambient set"):
+        peterson.translate_counts(z, p)
+
+
 def test_step_tables_stay_within_their_bound():
     # S_6 revisits its (z, P) across walks: tables are reused, never unbounded
     peterson._step_table.cache_clear()

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nashblowup import peterson, rootsystem, weyl
+from nashblowup import grassmann, peterson, rootsystem, weyl
 from nashblowup.weyl import (
     ParabolicSubset,
     bruhat_leq,
@@ -479,13 +479,14 @@ def test_element_set_order_ignores_hash_seed():
 
 
 def test_wrong_product_raises_instead_of_hanging():
-    # products composed in the wrong order send the descent walk of
+    # tables composed in the wrong order send the descent walk of
     # longest_element in circles; the walk is capped at the longest length.
-    # A child process keeps the wrong cache entries out of this one.
+    # The walks compose raw tables through weyl._compose, so that is what
+    # is swapped.  A child process keeps the wrong cache entries out of this one.
     script = (
         "from nashblowup import rootsystem, weyl\n"
-        "right = weyl.multiply\n"
-        "weyl.multiply = lambda u, v: right(v, u)\n"
+        "right = weyl._compose\n"
+        "weyl._compose = lambda outer, inner: right(inner, outer)\n"
         "try:\n"
         "    weyl.longest_element(rootsystem.root_system('A', 3))\n"
         "except rootsystem.InvariantViolation as exc:\n"
@@ -500,3 +501,36 @@ def test_wrong_product_raises_instead_of_hanging():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: descent walk"), proc.stdout
+
+
+A16_LEVIS = [frozenset(range(1, 17)) - {2}, frozenset(range(2, 16))]
+
+
+@pytest.mark.parametrize("levi", A16_LEVIS, ids=["omit 2", "omit 1,16"])
+def test_tuple_table_walks_match_the_oracles(
+    levi, descent_walk, min_reps_perm, bruhat_leq_perm
+):
+    # A16 has 272 roots, so its tables are tuples: the ideal walk, the
+    # descent walks and from_word all take the map branch of weyl._compose
+    rs = rootsystem.root_system("A", 16)
+    p = ParabolicSubset(levi)
+    word = [2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7, 6, 8, 7, 9, 8, 16, 15, 14, 13, 12, 11]
+    u = from_word(rs, word + [10, 9, 1, 16])
+    assert type(u.perm) is tuple
+    for w in (u, inverse(u), multiply(u, u)):
+        word = reduced_word(w)
+        end, steps = descent_walk(w, range(1, 17), True)
+        assert end == identity(rs) and word == tuple(reversed(steps))
+        assert len(word) == w.length and from_word(rs, word) == w
+        lo, hi = min_coset_rep(w, p), max_coset_rep(w, p)
+        assert lo == descent_walk(w, levi, True)[0]
+        assert hi == descent_walk(w, levi, False)[0]
+        perm = grassmann.weyl_to_perm(w)
+        assert grassmann.weyl_to_perm(lo) == grassmann.min_coset_rep_perm(perm, levi)
+        assert grassmann.weyl_to_perm(hi) == grassmann.max_coset_rep_perm(perm, levi)
+        ideal = interval_min_reps(w, p)
+        top = grassmann.weyl_to_perm(lo)
+        below = {v for v in min_reps_perm(17, levi) if bruhat_leq_perm(v, top)}
+        assert {grassmann.weyl_to_perm(v) for v in ideal} == below
+        assert all(bruhat_leq(v, lo) for v in ideal)
+        assert all(type(v.perm) is tuple for v in ideal)
