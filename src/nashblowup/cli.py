@@ -52,7 +52,8 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-MAX_SWEEP_N = 8  # the covexillary sweep walks all n! permutations of S_n
+# S_8's covexillary sweep is routine; S_9 waits for a recorded reach probe
+MAX_SWEEP_N = 8
 # the largest rank of --rank or of a --perm's S_n; a query at rank 16 (A16 has
 # 272 roots) takes under a second on a 2-vCPU Xeon, and cost grows with rank
 MAX_RANK = 16

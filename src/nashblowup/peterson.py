@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .rootsystem import InvariantViolation, Root, RootSystem, format_root
@@ -92,14 +93,14 @@ def weight_mask(system: RootSystem, roots: Iterable[Root]) -> int:
     return _index_mask(map(system.index.__getitem__, roots))
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _mask_indices(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of ``mask``, lowest first: its binary digits, lowest
+    first, select from the bit positions in C."""
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)
+    return list(compress(range(len(bits)), bits))
 
 
 def mask_roots(system: RootSystem, mask: int) -> frozenset[Root]:
@@ -198,11 +199,12 @@ def _gamma_strings(system: RootSystem, gamma: Root) -> tuple:
 def _packings(system: RootSystem, gamma: Root, ambient: int) -> tuple:
     """:func:`_packing` of each gamma-string with two or more ambient roots."""
     pack = _table_type(system)
-    return tuple(
-        _packing(smask, ix, ambient & smask, pack)
-        for smask, ix in _gamma_strings(system, gamma)
-        if (ambient & smask) & ((ambient & smask) - 1)
-    )
+    out = []
+    for smask, ix in _gamma_strings(system, gamma):
+        inside = ambient & smask
+        if inside & (inside - 1):
+            out.append(_packing(smask, ix, inside, pack))
+    return tuple(out)
 
 
 def _member_set(indices: Iterable[int], pack: type) -> bytes | frozenset[int]:
@@ -229,32 +231,6 @@ def _packing(smask: int, ix: tuple[int, ...], inside: int, pack: type) -> tuple:
     return smask, members, tuple(pack(ix[mu : mu + c]) for c in range(len(run) + 1))
 
 
-def _sigma(m: bytes | tuple[int, ...], packings: tuple, gamma: Root):
-    """sigma_gamma of an index set inside the ambient set the packings were
-    made for: the indices M holds on each string give way to the packed set
-    of as many, so the size never changes."""
-    for smask, members, packed in packings:
-        if type(m) is bytes:
-            rest = m.translate(None, members)
-        else:
-            rest = tuple(i for i in m if i not in members)
-        c = len(m) - len(rest)
-        if c:
-            if packed is None:
-                msg = f"alpha-minimal element not unique on string {smask:#x} along"
-                raise InvariantViolation(f"{msg} {gamma}")
-            m = rest + packed[c]
-    return m
-
-
-def _shift(m: int, packings: tuple, gamma: Root) -> int:
-    """:func:`_sigma` on the index set of a mask."""
-    if not packings:
-        return m
-    pack = bytes if type(packings[0][1]) is bytes else tuple
-    return _index_mask(_sigma(pack(_mask_indices(m)), packings, gamma))
-
-
 # the walks of different w meet the same (z, P), so tables are reused across
 # walks; the bound keeps the memory of a long sweep flat
 @lru_cache(maxsize=2048)
@@ -263,32 +239,24 @@ def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
     root indices the walk deletes, and one step per left inversion gamma of
     z, in sorted order of gamma.
 
-    A step is (gamma, z', r_gamma's padded root table, the packings of gamma
-    over ambient(z)), where z', the minimal representative of r_gamma z, must
-    be shorter than z.
+    A step is (gamma, z', the raw table of z', r_gamma's padded root table,
+    the packings of gamma over ambient(z)), where z', the minimal
+    representative of r_gamma z, must be shorter than z.
     """
     rs = z.system
     ambient = ambient_weights(z, p)
     reflections = _reflection_tables(rs)
+    roots, n = rs.roots, len(rs.positive_roots)
     steps = []
-    for gamma in sorted(left_inversions(z)):
-        table = reflections[rs.index[gamma]]
+    # the left inversions are the positive roots among z(R^-)
+    for j in sorted((j for j in z.perm[n:] if j < n), key=roots.__getitem__):
+        table = reflections[j]
         target = _element(rs, _descend(rs, _compose(table, z.perm), p.levi, True))
         if target.length >= z.length:
             raise InvariantViolation("translation failed to decrease length")
-        steps.append((gamma, target, table, _packings(rs, gamma, ambient)))
+        packings = _packings(rs, roots[j], ambient)
+        steps.append((roots[j], target, target.perm, table, packings))
     return _member_set(_mask_indices(ambient), _table_type(rs)), tuple(steps)
-
-
-def _translate(m: bytes | tuple[int, ...], step: tuple) -> bytes | tuple[int, ...]:
-    """r_gamma(sigma_gamma(M)) for one step on an index set: sigma, then one
-    map through r_gamma's table and a sort."""
-    gamma, _, table, packings = step
-    if packings:
-        m = _sigma(m, packings, gamma)
-    if type(m) is bytes:
-        return bytes(sorted(m.translate(table)))
-    return tuple(sorted(map(table.__getitem__, m)))
 
 
 def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list:
@@ -299,6 +267,11 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
     Each state is checked to lie in ambient(z) when its steps are taken, so
     before the walk returns: the start raises ValueError, a translate
     InvariantViolation.
+
+    A step is r_gamma(sigma_gamma(M)), taken inline.  sigma deletes the
+    indices M holds on each packed string and adds the packed set of as
+    many, so the size never changes; r_gamma is one map through its table
+    and a sort.
     """
     rs = w.system
     _check_levi(rs, p)
@@ -306,14 +279,19 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
         raise ValueError(
             f"{format_word(reduced_word(w))} is not a minimal coset representative"
         )
-    start = sorted(map(rs.index.__getitem__, left_inversions(w)))
-    nodes = [(w, _table_type(rs)(start))]
-    # keyed by z.perm and M, hashed in C; an element's __hash__ would run
+    pack = _table_type(rs)
+    is_bytes = pack is bytes
+    nodes = [(w, pack(sorted(map(rs.index.__getitem__, left_inversions(w)))))]
+    # keyed by raw tables, hashed in C; an element's __hash__ would run
     # Python code.  Only lookups: the order is that of ``nodes``
     position = {(w.perm, nodes[0][1]): 0}
+    tables: dict = {}  # z.perm -> step table, in front of the bounded cache
     for src, (z, m) in enumerate(nodes):  # grows while it is read
-        ambient, steps = _step_table(z, p)
-        if type(m) is bytes:
+        table = tables.get(z.perm)
+        if table is None:
+            table = tables[z.perm] = _step_table(z, p)
+        ambient, steps = table
+        if is_bytes:
             outside = m.translate(None, ambient)
         else:
             outside = [i for i in m if i not in ambient]
@@ -321,13 +299,28 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
             raise ValueError("weight set must live inside the ambient set of z")
         if outside:
             raise InvariantViolation("translated weights left the ambient set")
-        for step in steps:
-            new = _translate(m, step)
-            k = position.setdefault((step[1].perm, new), len(nodes))
+        for gamma, target, key, refl, packings in steps:
+            new = m
+            for smask, members, packed in packings:
+                if is_bytes:
+                    rest = new.translate(None, members)
+                else:
+                    rest = tuple(i for i in new if i not in members)
+                c = len(new) - len(rest)
+                if c:
+                    if packed is None:
+                        msg = f"alpha-minimal element not unique on string {smask:#x}"
+                        raise InvariantViolation(f"{msg} along {gamma}")
+                    new = rest + packed[c]
+            if is_bytes:
+                new = bytes(sorted(new.translate(refl)))
+            else:
+                new = tuple(sorted(map(refl.__getitem__, new)))
+            k = position.setdefault((key, new), len(nodes))
             if k == len(nodes):
-                nodes.append((step[1], new))
+                nodes.append((target, new))
             if edges is not None:
-                edges.append((src, step[0], k))
+                edges.append((src, gamma, k))
     return nodes
 
 
@@ -349,6 +342,11 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
 def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]:
     """The number of translation states over each z, without building the graph."""
     return Counter(z for z, _ in _walk(w, p))
+
+
+def _table_counts(w: WeylElement, p: ParabolicSubset) -> Counter:
+    """:func:`translate_counts` keyed by the raw table ``z.perm``."""
+    return Counter([z.perm for z, _ in _walk(w, p)])
 
 
 @lru_cache(maxsize=None)

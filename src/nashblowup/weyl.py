@@ -23,6 +23,7 @@ always refers to right cosets w W_P.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .rootsystem import InvariantViolation, Root, RootSystem
@@ -85,7 +86,11 @@ class WeylElement:
         """The number of positive roots sent to negative ones."""
         if self._length is None:
             n = len(self.system.positive_roots)
-            self._length = sum(1 for j in self.perm[:n] if j >= n)
+            head = self.perm[:n]
+            if type(head) is bytes:  # delete the positive images, in C
+                self._length = len(head.translate(None, _IDENTITY[:n]))
+            else:
+                self._length = sum(1 for j in head if j >= n)
         return self._length
 
     def __call__(self, root: Root) -> Root:
@@ -371,16 +376,29 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 def _ideal(
     tops: frozenset[WeylElement], levi: frozenset[int]
 ) -> frozenset[WeylElement]:
+    rs = next(iter(tops)).system
+    found = _ideal_tables(rs, [v.perm for v in tops], levi)
+    return frozenset(_element(rs, y) for y in found)
+
+
+def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
+    """The raw tables of the elements of W^P below the ``tops``, tops first,
+    breadth first."""
     # y = r_gamma v < v for each left inversion gamma of v, so every such y in
     # W^P lies in the ideal; the covers of v in W^P are among them, and
     # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
     # reaches all of it.  It runs on raw tables, keyed by the table itself
-    rs = next(iter(tops)).system
-    n = len(rs.positive_roots)
-    reflections = _reflection_tables(rs)
-    simples = _simple_indices(rs)
-    levi_idx = [simples[i - 1] for i in levi]
-    found = [v.perm for v in tops]
+    n = len(system.positive_roots)
+    reflections = _reflection_tables(system)
+    simples = _simple_indices(system)
+    # y is in W^P iff it sends no simple root of the Levi below zero; the
+    # extra index keeps the getter's result a tuple for a one-node Levi
+    levi_images = (
+        itemgetter(*(simples[i - 1] for i in levi), simples[min(levi) - 1])
+        if levi
+        else None
+    )
+    found = list(tops)
     seen = set(found)
     for v in found:  # grows while it is read: a breadth-first walk
         # the positive roots among v(R^-), the left inversions of v
@@ -392,9 +410,9 @@ def _ideal(
             y = _compose(reflections[j], v)
             if y not in seen:  # outside W^P too: each table is tested once
                 seen.add(y)
-                if all(y[k] < n for k in levi_idx):
+                if levi_images is None or max(levi_images(y)) < n:
                     found.append(y)
-    return frozenset(_element(rs, y) for y in found)
+    return found
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:

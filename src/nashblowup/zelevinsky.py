@@ -20,8 +20,10 @@ representative of w W_P sitting at that point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .grassmann import (
     CoessBox,
@@ -31,12 +33,12 @@ from .grassmann import (
     descent_set,
     min_coset_rep_perm,
     perm_to_weyl,
-    weyl_to_perm,
+    _one_line,
     _sortable,
 )
-from .peterson import translate_counts
+from .peterson import _table_counts
 from .rootsystem import InvariantViolation, root_system
-from .weyl import ParabolicSubset, WeylElement, interval_min_reps
+from .weyl import ParabolicSubset, WeylElement, _ideal_tables
 
 __all__ = [
     "CovexillaryDatum",
@@ -88,26 +90,55 @@ def covexillary_datum(w: Permutation) -> CovexillaryDatum:
     return CovexillaryDatum(w=w, n=n, levi=levi, boxes=boxes)
 
 
-def _fixed_points(d: CovexillaryDatum, seed: WeylElement) -> list[tuple]:
-    """(v, its element, flag of v) per fixed point below ``seed``, sorted by v."""
-    out = []
-    for z in interval_min_reps(seed, ParabolicSubset(d.levi)):
-        v = weyl_to_perm(z)
-        out.append((v, z, CoordFlag(tuple(tuple(sorted(v[: b.q])) for b in d.boxes))))
-    out.sort(key=lambda t: t[0])
-    if len({f for _, _, f in out}) != len(out):
+def _fixed_points(d: CovexillaryDatum, seed: WeylElement) -> Iterator[tuple]:
+    """(v, its raw table, flag of v) per fixed point below ``seed``, a
+    minimal representative, breadth first; once all are read, the flags
+    must separate them."""
+    ideal = _ideal_tables(seed.system, [seed.perm], d.levi)
+    prefixes = [slice(b.q) for b in d.boxes]
+    flags = set()
+    for table in ideal:
+        v = _one_line(seed.system, table)
+        flag = CoordFlag(tuple(map(tuple, map(sorted, map(v.__getitem__, prefixes)))))
+        flags.add(flag)
+        yield v, table, flag
+    if len(flags) != len(ideal):
         raise InvariantViolation("fixed flags failed to separate fixed points")
-    return out
 
 
 def schubert_fixed_points(d: CovexillaryDatum) -> list[tuple[Permutation, CoordFlag]]:
     """(v, flag of v) for every torus-fixed point of X_w^P, v in W^P, v <= w.
 
-    The points are the ideal walked by :func:`weyl.interval_min_reps` below
-    the minimal representative of w W_P, read back as one-line tuples.
+    The points are the ideal of W^P walked below the minimal representative
+    of w W_P, as for :func:`weyl.interval_min_reps`, read back as one-line
+    tuples.
     """
     seed = perm_to_weyl(root_system("A", d.n - 1), min_coset_rep_perm(d.w, d.levi))
-    return [(v, f) for v, _, f in _fixed_points(d, seed)]
+    return sorted((v, f) for v, _, f in _fixed_points(d, seed))
+
+
+def _chain_counts(uppers: Sequence[int], d: CovexillaryDatum) -> tuple[int, int]:
+    """(Z count, Z' count) from |S_{q_i} cap {1..p_i}| per box, at a point
+    that meets every rank condition: the products of binomials of
+    :func:`z_fiber_count` and :func:`zdual_fiber_count`."""
+    z_count, prev_r = 1, 0
+    for upper, box in zip(uppers, d.boxes):
+        z_count *= comb(upper - prev_r, box.r - prev_r)
+        prev_r = box.r
+    zdual_count, above = 1, d.n
+    for upper, box in zip(reversed(uppers), reversed(d.boxes)):
+        lower = box.p + box.q - upper  # |{1..p} union S_q|
+        size = box.q + box.p - box.r
+        zdual_count *= comb(above - lower, above - size)
+        above = size
+    return z_count, zdual_count
+
+
+def _rank_violation(box: CoessBox) -> ValueError:
+    return ValueError(
+        f"flag violates the rank condition of box "
+        f"({box.p},{box.q},{box.r}); not a point of the variety"
+    )
 
 
 def _fiber_counts(flag: CoordFlag, d: CovexillaryDatum) -> tuple[int, int]:
@@ -125,22 +156,9 @@ def _fiber_counts(flag: CoordFlag, d: CovexillaryDatum) -> tuple[int, int]:
             raise ValueError("flag steps are not nested")
         uppers.append(len([x for x in s if x <= box.p]))
         if uppers[-1] < box.r:
-            raise ValueError(
-                f"flag violates the rank condition of box "
-                f"({box.p},{box.q},{box.r}); not a point of the variety"
-            )
+            raise _rank_violation(box)
         prev, prev_q = s, box.q
-    z_count, prev_r = 1, 0
-    for upper, box in zip(uppers, d.boxes):
-        z_count *= comb(upper - prev_r, box.r - prev_r)
-        prev_r = box.r
-    zdual_count, above = 1, d.n
-    for upper, box in zip(reversed(uppers), reversed(d.boxes)):
-        lower = box.p + box.q - upper  # |{1..p} union S_q|
-        size = box.q + box.p - box.r
-        zdual_count *= comb(above - lower, above - size)
-        above = size
-    return z_count, zdual_count
+    return _chain_counts(uppers, d)
 
 
 def z_fiber_count(flag: CoordFlag, d: CovexillaryDatum) -> int:
@@ -225,17 +243,21 @@ def conjecture_check(w: Permutation) -> ConjectureReport:
     d = covexillary_datum(w)
     seed = min_coset_rep_perm(w, d.levi)
     seed_el = perm_to_weyl(root_system("A", d.n - 1), seed)
-    counts = translate_counts(seed_el, ParabolicSubset(d.levi))
+    counts = _table_counts(seed_el, ParabolicSubset(d.levi))
+    # each flag step S_q is sorted, so |S_q cap {1..p}| is one bisection;
+    # the rank condition and both counts depend on these numbers alone
+    ps = [b.p for b in d.boxes]
+    chains_at: dict[tuple[int, ...], tuple[int, int]] = {}
     points = []
-    for v, z, flag in _fixed_points(d, seed_el):
-        zc, zdc = _fiber_counts(flag, d)
-        points.append(
-            ConjecturePoint(
-                v=v,
-                z_count=zc,
-                zdual_count=zdc,
-                product=zc * zdc,
-                peterson_count=counts[z],
-            )
-        )
+    for v, table, flag in _fixed_points(d, seed_el):
+        uppers = tuple(map(bisect_right, flag.steps, ps))
+        chains = chains_at.get(uppers)
+        if chains is None:
+            for upper, box in zip(uppers, d.boxes):
+                if upper < box.r:
+                    raise _rank_violation(box)
+            chains = chains_at[uppers] = _chain_counts(uppers, d)
+        zc, zdc = chains
+        points.append(ConjecturePoint(v, zc, zdc, zc * zdc, counts[table]))
+    points.sort(key=itemgetter(0))
     return ConjectureReport(w=w, seed=seed, points=tuple(points))

@@ -25,7 +25,9 @@ simple reflections from the Cartan matrix.
 (``_oracle_tau`` after ``_oracle_sigma_shift``): each edge looks up its
 reflection, its target coset and the strings of M on the spot.  It is the
 route that the package's walk over cached per-(z, P) step tables, the only
-translation step in the package, is checked against.
+translation step in the package, is checked against.  ``sigma_on_mask``
+applies the walk's packings (``peterson._packings``) to a mask, so that the
+packings of one state can be checked by hand.
 """
 
 from collections import deque
@@ -311,6 +313,23 @@ def _oracle_translates(w, p):
 @pytest.fixture(scope="session")
 def oracle_translates():
     return _oracle_translates
+
+
+def _sigma_on_mask(m, packings, gamma):
+    """sigma_gamma of a mask through the walk's packings of gamma: the bits
+    M holds on each packed string give way to the packed set of as many."""
+    for smask, _, packed in packings:
+        c = (m & smask).bit_count()
+        if c:
+            if packed is None:
+                raise InvariantViolation(f"alpha-minimal not unique along {gamma}")
+            m = m & ~smask | peterson._index_mask(packed[c])
+    return m
+
+
+@pytest.fixture(scope="session")
+def sigma_on_mask():
+    return _sigma_on_mask
 
 
 @pytest.fixture

@@ -473,6 +473,18 @@ def test_fixed_flags_that_collide_exit_1(capsys, monkeypatch):
     assert err.startswith("invariant violated: fixed flags failed to separate")
 
 
+def test_sweep_of_a_non_covexillary_w_exits_1(capsys, monkeypatch):
+    # an enumerated w has sortable boxes by Fulton's theorem; if one did not,
+    # the sweep is at fault: one line, no traceback
+    monkeypatch.setattr(sweeps, "covexillary_perms", lambda n: iter([(3, 4, 1, 2)]))
+    code, out, err = run(capsys, ["conjecture", "--n", "4"])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("invariant violated:")
+    assert "(3, 4, 1, 2)" in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_peterson_builds_one_graph(capsys, monkeypatch, fmt):
     calls = []
@@ -501,18 +513,22 @@ def test_unknown_subcommand_exits_2():
 def test_module_entrypoint_deterministic():
     # str and bytes hashes follow PYTHONHASHSEED, so set and dict iteration
     # order may differ between the two processes; the JSON must not.  The E6
-    # top cell's ideal and translation walks key sets and dicts by raw bytes
+    # top cell's ideal and translation walks key sets and dicts by raw bytes,
+    # and so does the S_5 sweep's count of states per point
     e6_args = ["--type", "E", "--rank", "6", "--node", "1", "--word", E6_TOP]
-    for command, datum in itertools.product(("nash", "peterson"), (A3_ARGS, e6_args)):
-        cmd = [sys.executable, "-m", "nashblowup", command] + datum + [
-            "--format", "json",
-        ]
+    calls = [
+        ([command, *datum], 0)
+        for command, datum in itertools.product(("nash", "peterson"), (A3_ARGS, e6_args))
+    ]
+    calls.append((["conjecture", "--n", "5"], 1))  # (5,2,3,4,1) fails by design
+    for argv, code in calls:
+        cmd = [sys.executable, "-m", "nashblowup", *argv, "--format", "json"]
         first, second = (
             subprocess.run(cmd, capture_output=True, text=True, env=module_env(seed))
             for seed in (0, 12345)
         )
-        assert first.returncode == 0, first.stderr
-        assert second.returncode == 0, second.stderr
+        assert first.returncode == code, first.stderr
+        assert second.returncode == code, second.stderr
         assert first.stdout == second.stdout
 
 

@@ -4,8 +4,10 @@ Each digest is the SHA-256 of stdout, taken before weight sets became
 root-index bitmasks (the E6 translation graph's is the pin of the same call
 in ``bench/cases.py``); the corpus covers both translation-graph renderings
 on one top cell of each classical family, the E6 translation graph and Nash
-report and a covexillary conjecture check, so a change of representation or
-of the JSON encoder that alters any rendered byte fails here.
+report, a covexillary conjecture check, the S_6 conjecture sweep and
+``verify`` at its defaults (the last two are the pins of the same calls in
+``bench/cases.py``), so a change of representation, of an enumeration's
+order or of the JSON encoder that alters any rendered byte fails here.
 """
 
 import hashlib
@@ -47,12 +49,21 @@ CORPUS = [
     # (5,2,3,4,1) is the documented mismatch: exit 1 with a full report
     (["conjecture", "--perm", "5,2,3,4,1", "--format", "json"], 1,
      "d8f7d344e5b5712f3bf8f44bd543fa6fd2f1e4bf0981a16d9aa1aa97f459f998"),
+    # the sweeps: the order of the enumeration shows in their bytes.  S_6
+    # fails on the 20 w that contain (5,2,3,4,1)
+    (["conjecture", "--n", "6", "--format", "json"], 1,
+     "da69384b8c6076e3b4d23ae27fa3ec8f7fd512c218b64a004bdcac3b6a01fa1c"),
+    (["verify", "--format", "json"], 0,
+     "f6cd9e7fcd1dcf69f8a1895ebd02cd592a808efa1928315aaa284a11dc661a61"),
 ]
 
 
 def _case_id(argv):
-    # e.g. "peterson-B3-dot", "nash-E6-json", "conjecture-5,2,3,4,1-json"
-    what = argv[2] if argv[1] == "--perm" else argv[2] + argv[4]
+    # e.g. "peterson-B3-dot", "nash-E6-json", "conjecture-5,2,3,4,1-json",
+    # "conjecture-6-json", "verify-json"
+    if argv[0] == "verify":
+        return f"verify-{argv[-1]}"
+    what = argv[2] if argv[1] in ("--perm", "--n") else argv[2] + argv[4]
     return f"{argv[0]}-{what}-{argv[-1]}"
 
 

@@ -144,6 +144,21 @@ def test_coessential_set_golden():
     assert coessential_set((4, 3, 2, 1)) == frozenset()
 
 
+def test_coessential_set_matches_the_definition():
+    # every (p, q) of the definition, not only the ascents q that the
+    # package visits, on all of S_2..S_6
+    for n in range(2, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            inv = [w.index(v) + 1 for v in range(1, n + 1)]
+            want = {
+                CoessBox(p, q, rank_number(w, p, q))
+                for p in range(1, n)
+                for q in range(1, n)
+                if inv[p - 1] <= q < inv[p] and w[q - 1] <= p < w[q]
+            }
+            assert coessential_set(w) == want, w
+
+
 def test_partition_and_corners():
     lam = partition_of(W_EX, K_EX)
     assert lam == (4, 3, 1)

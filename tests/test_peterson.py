@@ -209,13 +209,14 @@ class TestStringsOnCovexillarySeed:
         block = frozenset({self.B_NA2, self.B_A1})
         assert alpha_minimal(block, self.GAMMA, amb) == self.B_NA2
 
-    def _shift(self, z, p, m):
+    def _shift(self, sigma_on_mask, z, p, m):
         packings = peterson._packings(z.system, self.GAMMA, ambient_weights(z, p))
-        return peterson._shift(m, packings, self.GAMMA)
+        return sigma_on_mask(m, packings, self.GAMMA)
 
-    def test_sigma_shift(self, seed):
+    def test_sigma_shift(self, seed, sigma_on_mask):
         rs, z, p = seed
-        shifted = self._shift(z, p, weight_mask(rs, left_inversions(z)))
+        m = weight_mask(rs, left_inversions(z))
+        shifted = self._shift(sigma_on_mask, z, p, m)
         assert mask_roots(rs, shifted) == frozenset(
             {
                 (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1),
@@ -223,10 +224,10 @@ class TestStringsOnCovexillarySeed:
             }
         )
 
-    def test_sigma_shift_moves_a_lone_weight_down(self, seed):
+    def test_sigma_shift_moves_a_lone_weight_down(self, seed, sigma_on_mask):
         # one weight per string is still packed to the string's bottom
         rs, z, p = seed
-        shifted = self._shift(z, p, weight_mask(rs, {self.B_A1}))
+        shifted = self._shift(sigma_on_mask, z, p, weight_mask(rs, {self.B_A1}))
         assert mask_roots(rs, shifted) == frozenset({self.B_NA2})
 
     def test_walk_rejects_a_start_outside_the_ambient_set(

@@ -6,8 +6,17 @@ iteration space cannot slip through.
 """
 
 from collections import Counter
+from itertools import permutations
 
-from nashblowup import nashcore, peterson, rootsystem, sweeps, weyl, zelevinsky
+from nashblowup import (
+    grassmann,
+    nashcore,
+    peterson,
+    rootsystem,
+    sweeps,
+    weyl,
+    zelevinsky,
+)
 from nashblowup.rootsystem import CartanType
 from nashblowup.sweeps import (
     DEFAULT_TYPES,
@@ -38,6 +47,16 @@ def test_covexillary_enumeration_counts():
     assert sum(1 for _ in covexillary_perms(3)) == 6
     assert sum(1 for _ in covexillary_perms(4)) == 23
     assert sum(1 for _ in covexillary_perms(5)) == 103
+    # the direct 3412-avoiding build lists what filtering S_n by sortable
+    # boxes lists, in the same lexicographic order
+    counts = []
+    for n in range(1, 8):
+        direct = list(covexillary_perms(n))
+        assert direct == [
+            w for w in permutations(range(1, n + 1)) if grassmann.is_covexillary(w)
+        ]
+        counts.append(len(direct))
+    assert counts == [1, 2, 6, 23, 103, 513, 2761]
 
 
 def _types(spec):
