@@ -29,18 +29,10 @@ True
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .rootsystem import InvariantViolation, RootSystem
-from .weyl import (
-    WeylElement,
-    _compose,
-    _from_indices,
-    _padded,
-    _simple_indices,
-    _table_type,
-)
+from .weyl import WeylElement, _from_indices, _simple_indices
 
 __all__ = [
     "Permutation",
@@ -130,17 +122,16 @@ def perm_to_weyl(system: RootSystem, p: Permutation) -> WeylElement:
             f"need root system A{n - 1} for a permutation of 1..{n}, got "
             f"{system.cartan_type}"
         )
-    ext = (0, *p)  # p(a) at position a
-    heads, tails = _e_columns(system)
-    images = zip(map(ext.__getitem__, heads), map(ext.__getitem__, tails))
-    return _from_indices(system, map(_e_index(system).__getitem__, images))
+    index = _e_index(system)
+    return _from_indices(
+        system, (index[p[a - 1], p[b - 1]] for a, b in _e_pairs(system))
+    )
 
 
 @lru_cache(maxsize=None)
-def _e_columns(system: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(a per root index k, b per root index k) with ``system.roots[k] =
-    e_a - e_b`` in A_n."""
-    heads, tails = [], []
+def _e_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
+    """(a, b) with ``system.roots[k] = e_a - e_b``, per root index k of A_n."""
+    pairs = []
     for root in system.roots:
         # e-basis coefficients of sum_j c_j alpha_j are c_j - c_{j-1}
         prev = 0
@@ -152,48 +143,32 @@ def _e_columns(system: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
             elif d == -1:
                 minus = j
             prev = c
-        heads.append(plus)
-        tails.append(minus)
-    return tuple(heads), tuple(tails)
+        pairs.append((plus, minus))
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=None)
 def _e_index(system: RootSystem) -> dict[tuple[int, int], int]:
-    """The root index k of e_a - e_b, keyed by (a, b): ``_e_columns`` inverted."""
-    return {pair: k for k, pair in enumerate(zip(*_e_columns(system)))}
-
-
-@lru_cache(maxsize=None)
-def _one_line_tables(system: RootSystem) -> tuple:
-    """(a per root index, b per root index, a getter of the entries at
-    -alpha_1, alpha_1, ..., alpha_rank) for the roots e_a - e_b of A_n.
-
-    The tables are padded bytes beside bytes root tables, so one
-    ``bytes.translate`` maps a whole table of root indices."""
-    heads, tails = _e_columns(system)
-    if _table_type(system) is bytes:
-        heads, tails = _padded(bytes(heads)), _padded(bytes(tails))
-    simples = _simple_indices(system)
-    n = len(system.positive_roots)  # system.roots lists -beta n places after beta
-    return heads, tails, itemgetter(simples[0] + n, *simples)
+    """The root index k of e_a - e_b, keyed by (a, b): ``_e_pairs`` inverted."""
+    return {pair: k for k, pair in enumerate(_e_pairs(system))}
 
 
 def weyl_to_perm(w: WeylElement) -> Permutation:
-    """Read the one-line form off w(-alpha_1) = e_{w(2)} - e_{w(1)} and
-    w(alpha_i) = e_{w(i)} - e_{w(i+1)}."""
-    if w.system.cartan_type.family != "A":
+    """Read the one-line form off w(alpha_i) = e_{w(i)} - e_{w(i+1)}."""
+    rs = w.system
+    if rs.cartan_type.family != "A":
         raise ValueError("only type A elements correspond to permutations")
-    return _one_line(w.system, w.perm)
-
-
-def _one_line(system: RootSystem, perm: bytes | tuple[int, ...]) -> Permutation:
-    """:func:`weyl_to_perm` of the element of A_n with the raw table ``perm``."""
-    heads, tails, pick = _one_line_tables(system)
-    one_line = pick(_compose(tails, perm))
-    if pick(_compose(heads, perm))[1:] != one_line[:-1]:
-        raise ValueError("inconsistent action matrix for a permutation")
-    if len(set(one_line)) != len(one_line):  # the tables hold only 1..n
-        raise ValueError(f"{one_line} is not a permutation of 1..{len(one_line)}")
+    pairs, perm = _e_pairs(rs), w.perm
+    out: list[int] = []
+    for k in _simple_indices(rs):
+        a, b = pairs[perm[k]]
+        if not out:
+            out.append(a)
+        elif out[-1] != a:
+            raise ValueError("inconsistent action matrix for a permutation")
+        out.append(b)
+    one_line = tuple(out)
+    check_permutation(one_line)
     return one_line
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .rootsystem import InvariantViolation, Root, RootSystem, format_root
@@ -93,14 +92,14 @@ def weight_mask(system: RootSystem, roots: Iterable[Root]) -> int:
     return _index_mask(map(system.index.__getitem__, roots))
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _mask_indices(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first: its binary digits, lowest
-    first, select from the bit positions in C."""
-    bits = bin(mask)[:1:-1].encode().translate(_BITS)
-    return list(compress(range(len(bits)), bits))
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mask_roots(system: RootSystem, mask: int) -> frozenset[Root]:
@@ -199,12 +198,11 @@ def _gamma_strings(system: RootSystem, gamma: Root) -> tuple:
 def _packings(system: RootSystem, gamma: Root, ambient: int) -> tuple:
     """:func:`_packing` of each gamma-string with two or more ambient roots."""
     pack = _table_type(system)
-    out = []
-    for smask, ix in _gamma_strings(system, gamma):
-        inside = ambient & smask
-        if inside & (inside - 1):
-            out.append(_packing(smask, ix, inside, pack))
-    return tuple(out)
+    return tuple(
+        _packing(smask, ix, ambient & smask, pack)
+        for smask, ix in _gamma_strings(system, gamma)
+        if (ambient & smask) & ((ambient & smask) - 1)
+    )
 
 
 def _member_set(indices: Iterable[int], pack: type) -> bytes | frozenset[int]:
@@ -239,9 +237,9 @@ def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
     root indices the walk deletes, and one step per left inversion gamma of
     z, in sorted order of gamma.
 
-    A step is (gamma, z', the raw table of z', r_gamma's padded root table,
-    the packings of gamma over ambient(z)), where z', the minimal
-    representative of r_gamma z, must be shorter than z.
+    A step is (gamma, z', r_gamma's padded root table, the packings of gamma
+    over ambient(z)), where z', the minimal representative of r_gamma z, must
+    be shorter than z.
     """
     rs = z.system
     ambient = ambient_weights(z, p)
@@ -255,7 +253,7 @@ def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
         if target.length >= z.length:
             raise InvariantViolation("translation failed to decrease length")
         packings = _packings(rs, roots[j], ambient)
-        steps.append((roots[j], target, target.perm, table, packings))
+        steps.append((roots[j], target, table, packings))
     return _member_set(_mask_indices(ambient), _table_type(rs)), tuple(steps)
 
 
@@ -299,7 +297,7 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
             raise ValueError("weight set must live inside the ambient set of z")
         if outside:
             raise InvariantViolation("translated weights left the ambient set")
-        for gamma, target, key, refl, packings in steps:
+        for gamma, target, refl, packings in steps:
             new = m
             for smask, members, packed in packings:
                 if is_bytes:
@@ -316,7 +314,7 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
                 new = bytes(sorted(new.translate(refl)))
             else:
                 new = tuple(sorted(map(refl.__getitem__, new)))
-            k = position.setdefault((key, new), len(nodes))
+            k = position.setdefault((target.perm, new), len(nodes))
             if k == len(nodes):
                 nodes.append((target, new))
             if edges is not None:
@@ -342,11 +340,6 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
 def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]:
     """The number of translation states over each z, without building the graph."""
     return Counter(z for z, _ in _walk(w, p))
-
-
-def _table_counts(w: WeylElement, p: ParabolicSubset) -> Counter:
-    """:func:`translate_counts` keyed by the raw table ``z.perm``."""
-    return Counter([z.perm for z, _ in _walk(w, p)])
 
 
 @lru_cache(maxsize=None)

@@ -86,11 +86,7 @@ class WeylElement:
         """The number of positive roots sent to negative ones."""
         if self._length is None:
             n = len(self.system.positive_roots)
-            head = self.perm[:n]
-            if type(head) is bytes:  # delete the positive images, in C
-                self._length = len(head.translate(None, _IDENTITY[:n]))
-            else:
-                self._length = sum(1 for j in head if j >= n)
+            self._length = sum(1 for j in self.perm[:n] if j >= n)
         return self._length
 
     def __call__(self, root: Root) -> Root:
@@ -376,21 +372,14 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 def _ideal(
     tops: frozenset[WeylElement], levi: frozenset[int]
 ) -> frozenset[WeylElement]:
-    rs = next(iter(tops)).system
-    found = _ideal_tables(rs, [v.perm for v in tops], levi)
-    return frozenset(_element(rs, y) for y in found)
-
-
-def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
-    """The raw tables of the elements of W^P below the ``tops``, tops first,
-    breadth first."""
     # y = r_gamma v < v for each left inversion gamma of v, so every such y in
     # W^P lies in the ideal; the covers of v in W^P are among them, and
     # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
     # reaches all of it.  It runs on raw tables, keyed by the table itself
-    n = len(system.positive_roots)
-    reflections = _reflection_tables(system)
-    simples = _simple_indices(system)
+    rs = next(iter(tops)).system
+    n = len(rs.positive_roots)
+    reflections = _reflection_tables(rs)
+    simples = _simple_indices(rs)
     # y is in W^P iff it sends no simple root of the Levi below zero; the
     # extra index keeps the getter's result a tuple for a one-node Levi
     levi_images = (
@@ -398,7 +387,7 @@ def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
         if levi
         else None
     )
-    found = list(tops)
+    found = [v.perm for v in tops]
     seen = set(found)
     for v in found:  # grows while it is read: a breadth-first walk
         # the positive roots among v(R^-), the left inversions of v
@@ -412,7 +401,7 @@ def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
                 seen.add(y)
                 if levi_images is None or max(levi_images(y)) < n:
                     found.append(y)
-    return found
+    return frozenset(_element(rs, y) for y in found)
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:

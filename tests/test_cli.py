@@ -473,6 +473,18 @@ def test_fixed_flags_that_collide_exit_1(capsys, monkeypatch):
     assert err.startswith("invariant violated: fixed flags failed to separate")
 
 
+def test_colliding_flags_are_caught_before_rank_conditions(capsys, monkeypatch):
+    # one flag for every point that also breaks the rank condition of the
+    # first box (|{4,5} cap {1,2}| = 0 < 1): separation is checked first
+    flag = zelevinsky.CoordFlag
+    monkeypatch.setattr(zelevinsky, "CoordFlag", lambda steps: flag(((4, 5), (3, 4, 5))))
+    code, out, err = run(capsys, ["conjecture", "--perm", "5,2,3,4,1"])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("invariant violated: fixed flags failed to separate")
+
+
 def test_sweep_of_a_non_covexillary_w_exits_1(capsys, monkeypatch):
     # an enumerated w has sortable boxes by Fulton's theorem; if one did not,
     # the sweep is at fault: one line, no traceback
