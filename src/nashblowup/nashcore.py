@@ -11,11 +11,20 @@ generated by
 and the blow-down map is the coset projection W^Q -> W^P on torus-fixed
 points.  This module computes Q, the fixed points, the fibers over fixed
 points of X_w^P, and hence the smooth locus.
+
+No fixed point is projected: u preserves R^- minus R_L^- iff it fixes the
+dominant weight 2rho - 2rho_L, whose stabilizer is W_P (Humphreys, Reflection
+Groups and Coxeter Groups, 1.12), so z(R^- minus R_L^-) keys the coset z W_P.
+As W^P lies in W^Q, a fiber holds its coset's minimal representative, its
+shortest member.  One pass over the raw tables of the W^Q ideal groups the
+fixed points by key; only what is handed out is interned.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable
 
 from .rootsystem import Root, RootSystem, format_root
 from .weyl import (
@@ -26,10 +35,12 @@ from .weyl import (
     inverse,
     is_min_coset_rep,
     left_inversions,
-    min_coset_rep,
     reduced_word,
     _check_levi,
+    _element,
+    _ideal_tables,
     _read_only,
+    _table_type,
 )
 
 __all__ = [
@@ -110,7 +121,7 @@ class SchubertDatum:
         return idx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def delta_w(d: SchubertDatum) -> frozenset[int]:
     """Levi indices whose simple root stays simple under w."""
     return frozenset(i for i in d.p.levi if d.system.is_simple(d.w.column(i)))
@@ -131,17 +142,45 @@ def nash_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
     return interval_min_reps(d.w, nash_parabolic(d))
 
 
-def nash_fibers(d: SchubertDatum) -> dict[WeylElement, frozenset[WeylElement]]:
-    """{v: fiber over v} for every fixed point v of X_w^P.
+@lru_cache(maxsize=None)
+def _ambient_indices(system: RootSystem, levi: frozenset[int]) -> tuple[int, ...]:
+    """Indices of R^- minus R_L^- in ``system.roots``."""
+    return tuple(
+        system.index[b] for b in system.negative_roots if not system.in_levi(b, levi)
+    )
 
-    The blow-down is the coset projection W^Q -> W^P on fixed points, so the
-    fixed points of the blow-up are grouped by their minimal representative
-    modulo W_P.
-    """
-    groups: dict[WeylElement, set[WeylElement]] = {}
-    for z in nash_fixed_points(d):
-        groups.setdefault(min_coset_rep(z, d.p), set()).add(z)
-    return {v: frozenset(g) for v, g in groups.items()}
+
+def _image_set(indices: tuple[int, ...], pack: type) -> Callable:
+    """Raw table t -> the images of ``indices`` under t, ascending, as ``pack``."""
+    if len(indices) < 2:  # itemgetter gives a bare int for one index
+        return lambda t: pack(t[i] for i in indices)
+    return lambda t, images=itemgetter(*indices): pack(sorted(images(t)))
+
+
+@lru_cache(maxsize=1)  # the checks of one datum made in a row share it
+def _fixed_point_groups(d: SchubertDatum) -> dict:
+    """{key: raw tables of the fixed points z with that key}, in build order,
+    so each fiber's minimal representative, of which the rest are v u with
+    lengths adding, comes first.  The key is z(R^- minus R_L^-) as
+    :mod:`peterson`'s step tables hold it: ascending index bytes, or a
+    frozenset beside tuple tables."""
+    rs = d.system
+    pack = bytes if _table_type(rs) is bytes else frozenset
+    key = _image_set(_ambient_indices(rs, d.p.levi), pack)
+    groups: dict = {}
+    for t in _ideal_tables(rs, [d.w.perm], delta_w(d)):
+        groups.setdefault(key(t), []).append(t)
+    return groups
+
+
+def nash_fibers(d: SchubertDatum) -> dict[WeylElement, frozenset[WeylElement]]:
+    """{v: fiber over v} for every fixed point v of X_w^P: the fixed points
+    grouped by coset key, each under its shortest member."""
+    rs = d.system
+    return {
+        _element(rs, g[0]): frozenset(_element(rs, t) for t in g)
+        for g in _fixed_point_groups(d).values()
+    }
 
 
 def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:
@@ -164,20 +203,15 @@ def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:
 
 def singular_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
     """{v in W^P : v <= w, the Nash fiber over v has more than one point}."""
-    return frozenset(
-        v for v, g in nash_fibers(d).items() if len(g) > 1
-    )
-
-
-def _sort_elements(els) -> list[WeylElement]:
-    return sorted(els, key=lambda z: (z.length, reduced_word(z)))
+    groups = _fixed_point_groups(d).values()
+    return frozenset(_element(d.system, g[0]) for g in groups if len(g) > 1)
 
 
 def nash_report(d: SchubertDatum) -> dict:
     """JSON-ready summary with deterministic ordering."""
     fibers = nash_fibers(d)
     rows = []
-    for v in _sort_elements(fibers):
+    for v in sorted(fibers, key=lambda z: (z.length, reduced_word(z))):
         members = fibers[v]
         rows.append(
             {
@@ -192,6 +226,6 @@ def nash_report(d: SchubertDatum) -> dict:
     return {
         "delta_w": sorted(delta_w(d)),
         "Q_levi": sorted(nash_parabolic(d).levi),
-        "fixed_point_count": len(nash_fixed_points(d)),
+        "fixed_point_count": sum(map(len, fibers.values())),
         "fibers": rows,
     }

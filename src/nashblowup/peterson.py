@@ -16,23 +16,20 @@ table per (z, P): ambient(z), and per left inversion gamma the target z',
 r_gamma's root permutation, and for each gamma-string with two or more
 ambient roots its packed sets by count.  Iterating from (w, LInv(w)) until
 no further translation applies is one breadth-first walk over these
-tables; it yields the translation graph (:func:`eventual_translates`), or
-only the number of states over each z (:func:`translate_counts`).  Inside
-the walk M is the ascending sequence of its root indices (``bytes`` up to
-256 roots, a tuple above, as for Weyl elements): r_gamma is one
-``bytes.translate`` through the reflection's root permutation (Casselman's
-tables, applied one layer up) and a sort, sigma counts M on a string by
-deleting the string, and containment in ambient(z) is an emptiness test,
-made once per state.  A state becomes a mask once, when the graph is built.
+tables (:func:`_walk`, on raw root indices, Casselman's tables applied one
+layer up); it yields the translation graph (:func:`eventual_translates`), or
+only the number of states over each z (:func:`translate_counts`).
 
 For cominuscule P every string meets the ambient set at most once, so sigma
 is the identity and the states biject with the fixed points of the Nash
 blow-up; the map witnessing the bijection is :func:`theorem2_map` and the
-check is :func:`verify_theorem2`.
+check is :func:`verify_theorem2`.  It builds no graph and projects no fixed
+point: z W_P is keyed by z(R^- minus R_L^-) (see :mod:`nashcore`), which is
+ambient(z), so images and states compare as raw (key, M) index sets.
 
 Singularity detection: a fixed point u of X_w^P is singular iff some v >= u
 carries two distinct eventual translates (v, N) != (v, N'); see
-:func:`ck_singular_points`.
+:func:`ck_singular_points`.  The checks of one datum share one edge-free walk.
 """
 
 from __future__ import annotations
@@ -149,24 +146,23 @@ class TranslationGraph(NamedTuple):
     edges: tuple[tuple[PetersonState, Root, PetersonState], ...]
 
 
-@lru_cache(maxsize=None)
-def _ambient_indices(system: RootSystem, levi: frozenset[int]) -> tuple[int, ...]:
-    """Indices of R^- minus R_L^- in ``system.roots``."""
-    return tuple(
-        system.index[b] for b in system.negative_roots if not system.in_levi(b, levi)
-    )
-
-
 @lru_cache(maxsize=2048)
 def ambient_weights(z: WeylElement, p: ParabolicSubset) -> int:
     """z(R^- minus R_L^-) as a mask: the ambient set that carries every M."""
     rs = z.system
     _check_levi(rs, p)
-    perm = z.perm
-    m = 0
-    for i in _ambient_indices(rs, p.levi):
-        m |= 1 << perm[i]
-    return m
+    return _index_mask(map(z.perm.__getitem__, nashcore._ambient_indices(rs, p.levi)))
+
+
+@lru_cache(maxsize=16)
+def _root_codes(system: RootSystem) -> dict[int, int]:
+    """{code: index}: one base-32 digit per coefficient, offset by 16.  No
+    coefficient exceeds 4 in absolute value in a supported type, so adding
+    gamma's digits unshifted adds gamma to the root, without a carry."""
+    return {
+        sum(c + 16 << 5 * k for k, c in enumerate(b)): i
+        for i, b in enumerate(system.roots)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -180,10 +176,10 @@ def _gamma_strings(system: RootSystem, gamma: Root) -> tuple:
     """
     if not system.is_root(gamma):
         raise ValueError(f"{gamma} is not a root")
-    index, roots = system.index, system.roots
+    codes, shift = _root_codes(system), sum(g << 5 * k for k, g in enumerate(gamma))
     up: dict[int, int] = {}
-    for i, beta in enumerate(roots):
-        j = index.get(tuple(b + g for b, g in zip(beta, gamma)))
+    for c, i in codes.items():
+        j = codes.get(c + shift)
         if j is not None:
             up[i] = j
     strings = []
@@ -257,11 +253,12 @@ def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
     return _member_set(_mask_indices(ambient), _table_type(rs)), tuple(steps)
 
 
-def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list:
-    """The (z, M) reached from (w, LInv(w)) in breadth-first order, steps of
-    each in sorted order of gamma, with M as the ascending index set of its
-    roots (bytes up to 256 roots, a tuple above); each step is appended to
-    ``edges``, when given, as (source position, gamma, target position).
+def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tuple:
+    """(nodes, tables): the (z, M) reached from (w, LInv(w)) in breadth-first
+    order, steps of each in sorted order of gamma, with M as the ascending
+    index set of its roots (bytes up to 256 roots, a tuple above), and the
+    step table of each z by z.perm; each step is appended to ``edges``, when
+    given, as (source position, gamma, target position).
     Each state is checked to lie in ambient(z) when its steps are taken, so
     before the walk returns: the start raises ValueError, a translate
     InvariantViolation.
@@ -273,7 +270,7 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
     """
     rs = w.system
     _check_levi(rs, p)
-    if not min_coset_rep(w, p) == w:
+    if not is_min_coset_rep(w, p):
         raise ValueError(
             f"{format_word(reduced_word(w))} is not a minimal coset representative"
         )
@@ -319,7 +316,7 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> list
                 nodes.append((target, new))
             if edges is not None:
                 edges.append((src, gamma, k))
-    return nodes
+    return nodes, tables
 
 
 @lru_cache(maxsize=1)
@@ -332,17 +329,21 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     in a row share it; graphs and states are immutable, so that is safe.
     """
     found: list[tuple[int, Root, int]] = []
-    nodes = tuple(PetersonState(z, _index_mask(m)) for z, m in _walk(w, p, found))
+    nodes = tuple(PetersonState(z, _index_mask(m)) for z, m in _walk(w, p, found)[0])
     edges = tuple((nodes[a], gamma, nodes[b]) for a, gamma, b in found)
     return TranslationGraph(root=nodes[0], nodes=nodes, edges=edges)
 
 
 def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]:
     """The number of translation states over each z, without building the graph."""
-    return Counter(z for z, _ in _walk(w, p))
+    return Counter(z for z, _ in _walk(w, p)[0])
 
 
-@lru_cache(maxsize=None)
+# the edge-free walk, the last one kept (read only): the checks of one datum share it
+_walked = lru_cache(maxsize=1)(_walk)
+
+
+@lru_cache(maxsize=256)
 def _tangent_indices(d: nashcore.SchubertDatum) -> tuple[int, ...]:
     """E = w^{-1}(LInv(w)) as indices in ``d.system.roots``."""
     index = d.system.index
@@ -362,17 +363,12 @@ def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
         raise ValueError(f"{format_word(reduced_word(z))} is not in W^Q")
     if z not in nashcore.nash_fixed_points(d):
         raise ValueError(f"{format_word(reduced_word(z))} is not below w")
-    return _theorem2_image(z, d)
-
-
-def _theorem2_image(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
-    """:func:`theorem2_map` for z already known to be a fixed point of d."""
     m = _index_mask(map(z.perm.__getitem__, _tangent_indices(d)))
     return PetersonState(min_coset_rep(z, d.p), m)
 
 
 class Theorem2Report(NamedTuple):
-    """Outcome of comparing the closed-form map with the translation graph."""
+    """Outcome of comparing the closed-form map with the translation states."""
 
     ok: bool
     fixed_point_count: int
@@ -383,23 +379,35 @@ class Theorem2Report(NamedTuple):
 
 
 def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
-    """Check that z -> (min rep, z(E)) is a bijection onto the translate states."""
-    fixed = nashcore.nash_fixed_points(d)
-    graph = eventual_translates(d.w, d.p)
-    images = Counter(_theorem2_image(z, d) for z in fixed)
-    states = set(graph.nodes)
-    missing = tuple(sorted(states - set(images), key=_state_sort_key))
-    extra = tuple(sorted(set(images) - states, key=_state_sort_key))
-    collided = sorted((s for s, c in images.items() if c > 1), key=_state_sort_key)
-    collisions = tuple((s, images[s]) for s in collided)
-    ok = not missing and not extra and not collisions
-    return Theorem2Report(
-        ok=ok,
-        fixed_point_count=len(fixed),
-        state_count=len(states),
-        missing=missing,
-        extra=extra,
-        collisions=collisions,
+    """Check that z -> (min rep, z(E)) is a bijection onto the translate states.
+
+    Both sides are raw (key, M): an image is (key(z), z(E)), a state
+    (ambient(z'), M).  Only a failed check builds states."""
+    rs = d.system
+    groups = nashcore._fixed_point_groups(d)
+    image = nashcore._image_set(_tangent_indices(d), _table_type(rs))
+    images = [(k, image(t)) for k, g in groups.items() for t in g]
+    nodes, tables = _walked(d.w, d.p)
+    report = Theorem2Report(True, len(images), len(nodes), (), (), ())
+    found = {(tables[z.perm][0], m) for z, m in nodes}
+    if len(images) == len(found) and found.issuperset(images):  # so no collision
+        return report
+    counts, states = Counter(images), {(tables[z.perm][0], m): z for z, m in nodes}
+
+    def ordered(kms) -> list[tuple[PetersonState, tuple]]:
+        # a key names its z' or, with no state, its fiber's shortest member
+        named = []
+        for key, m in kms:
+            z = states.get((key, m)) or _element(rs, groups[key][0])
+            named.append((PetersonState(z, _index_mask(m)), (key, m)))
+        return sorted(named, key=lambda s_km: _state_sort_key(s_km[0]))
+
+    collided = ordered(km for km, c in counts.items() if c > 1)
+    return report._replace(
+        ok=False,
+        missing=tuple(s for s, _ in ordered(states.keys() - counts.keys())),
+        extra=tuple(s for s, _ in ordered(counts.keys() - states.keys())),
+        collisions=tuple((s, counts[km]) for s, km in collided),
     )
 
 
@@ -414,8 +422,7 @@ def ck_singular_points(w: WeylElement, p: ParabolicSubset) -> frozenset[WeylElem
     translates (v, N) != (v, N'): the singular locus is the ideal of W^P
     below those v.
     """
-    graph = eventual_translates(w, p)
-    per_z = Counter(s.z for s in graph.nodes)
+    per_z = Counter(z for z, _ in _walked(w, p)[0])
     multi = frozenset(z for z, c in per_z.items() if c > 1)
     return _ideal(multi, p.levi) if multi else frozenset()
 
@@ -475,19 +482,18 @@ def graph_to_json(graph: TranslationGraph) -> dict:
 def fixed_point_table(d: nashcore.SchubertDatum) -> list[dict]:
     """Rows (v, v_tilde, N) over all fixed points of the Nash blow-up.
 
-    Each fixed point v is sent through the map of :func:`theorem2_map`; rows
-    run by decreasing length, then reduced word.
+    Each fixed point v is sent through the map of :func:`theorem2_map`,
+    v_tilde read off the fiber that holds v; rows run by decreasing length,
+    then reduced word.
     """
-    rows = []
-    for z in sorted(
-        nashcore.nash_fixed_points(d), key=lambda v: (-v.length, reduced_word(v))
-    ):
-        st = _theorem2_image(z, d)
-        rows.append(
-            {
-                "v": list(reduced_word(z)),
-                "v_tilde": list(reduced_word(st.z)),
-                "weights": [list(r) for r in sorted(st.weights)],
-            }
-        )
-    return rows
+    roots, tangent = d.system.roots, _tangent_indices(d)
+    pairs = [(z, v) for v, g in nashcore.nash_fibers(d).items() for z in g]
+    pairs.sort(key=lambda zv: (-zv[0].length, reduced_word(zv[0])))
+    return [
+        {
+            "v": list(reduced_word(z)),
+            "v_tilde": list(reduced_word(v)),
+            "weights": [list(r) for r in sorted(roots[z.perm[i]] for i in tangent)],
+        }
+        for z, v in pairs
+    ]

@@ -6,8 +6,11 @@ first four checks below are the library form of the CLI ``verify``
 subcommand; :func:`conjecture_sweep`, the fifth, is that of
 ``conjecture --n`` only.
 :func:`cominuscule_sweep` makes the first two checks in one walk over the
-cominuscule data, building each datum's translation graph once;
-:func:`theorem2_sweep` and :func:`singular_agreement_sweep` return its halves.
+cominuscule data, each datum read by one raw pass: its fixed points grouped
+by the coset key z(R^- minus R_L^-), which names z W_P exactly because W_P
+is the stabilizer of that set, and one edge-free translation walk; no graph
+is built.  :func:`theorem2_sweep` and :func:`singular_agreement_sweep`
+return its halves.
 
 * translate-bijection sweep: the closed-form map is a bijection onto the
   eventual translates for every cominuscule datum of the given types;
@@ -113,9 +116,10 @@ def cominuscule_sweep(
 ) -> tuple[SweepOutcome, SweepOutcome]:
     """(translate bijection, singular locus agreement) in one pass over the data.
 
-    Both checks of a datum read one translation graph: ``verify_theorem2``
-    builds it and ``ck_singular_points`` takes it from the memo of
-    :func:`peterson.eventual_translates`.
+    Both checks of a datum read one edge-free walk, which ``verify_theorem2``
+    makes and ``ck_singular_points`` takes from its one-entry memo, and one
+    grouping of the fixed points by coset key, which ``verify_theorem2`` and
+    ``nashcore.singular_fixed_points`` share.
     """
     bij = SweepOutcome("translate bijection")
     sing = SweepOutcome("singular locus agreement")

@@ -12,8 +12,8 @@ chains, words) compose the raw tables themselves, through simple-reflection
 and reflection tables built once per system, and intern only what they
 return.
 
-Ideals {v in W^P : v <= w} are walked down from w by reflections inside W^P
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), never listing W.
+Ideals {v in W^P : v <= w} are built up along a reduced word of w by
+Deodhar's Z-property, inside W^P, never listing W.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
 s_1 s_3 s_2 and sends x to s_1(s_3(s_2(x))).  "Minimal coset representative"
@@ -323,7 +323,7 @@ def inverse(w: WeylElement) -> WeylElement:
     return _element(w.system, type(perm)(inv))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def left_inversions(w: WeylElement) -> frozenset[Root]:
     """LInv(w) = w(R^-) intersected with R^+."""
     rs = w.system
@@ -336,7 +336,7 @@ def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
     return not (right_descents(w) & p.levi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def min_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
     """The minimal length representative of w W_P."""
     _check_levi(w.system, p)
@@ -368,18 +368,18 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return bruhat_leq(v, wsi)
 
 
-@lru_cache(maxsize=64)
-def _ideal(
-    tops: frozenset[WeylElement], levi: frozenset[int]
-) -> frozenset[WeylElement]:
-    # y = r_gamma v < v for each left inversion gamma of v, so every such y in
-    # W^P lies in the ideal; the covers of v in W^P are among them, and
-    # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
-    # reaches all of it.  It runs on raw tables, keyed by the table itself
-    rs = next(iter(tops)).system
-    n = len(rs.positive_roots)
-    reflections = _reflection_tables(rs)
-    simples = _simple_indices(rs)
+def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
+    """The raw tables of the ideal of W^levi below the raw tables ``tops`` (in
+    W^levi), in build order; :func:`_ideal` interns them.  Below one top, the
+    order extends the right weak order: x comes before x u when lengths add."""
+    # Deodhar's Z-property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    # 2.2.7): for s u > u, the y <= s u are the x <= u and their s x.  In W^P,
+    # s y < y keeps y in W^P, so along a reduced word of a top, read from the
+    # right, each letter s adds the s x in W^P of the x found so far; a new
+    # s x is one longer than x, and s x u follows s x because x u follows x
+    n = len(system.positive_roots)
+    steps = _simple_steps(system)
+    simples = _simple_indices(system)
     # y is in W^P iff it sends no simple root of the Levi below zero; the
     # extra index keeps the getter's result a tuple for a one-node Levi
     levi_images = (
@@ -387,21 +387,31 @@ def _ideal(
         if levi
         else None
     )
-    found = [v.perm for v in tops]
-    seen = set(found)
-    for v in found:  # grows while it is read: a breadth-first walk
-        # the positive roots among v(R^-), the left inversions of v
-        if type(v) is bytes:
-            inversions = v[n:].translate(None, _IDENTITY[n:])
-        else:
-            inversions = [j for j in v[n:] if j < n]
-        for j in inversions:
-            y = _compose(reflections[j], v)
-            if y not in seen:  # outside W^P too: each table is tested once
-                seen.add(y)
-                if levi_images is None or max(levi_images(y)) < n:
-                    found.append(y)
-    return frozenset(_element(rs, y) for y in found)
+    ideal: dict = {}
+    for top in tops:
+        if top in ideal:  # so is all below it: longer tops first save builds
+            continue
+        word: list[int] = []  # top is s_{word[-1]} ... s_{word[0]}
+        _descend(system, top, range(1, system.rank + 1), True, word)
+        found = [identity(system).perm]
+        seen = set(found)  # outside W^P too: each table is tested once
+        for i in word:
+            s = steps[i - 1][2]
+            for x in found[: len(found)]:
+                y = _compose(s, x)
+                if y not in seen:
+                    seen.add(y)
+                    if levi_images is None or max(levi_images(y)) < n:
+                        found.append(y)
+        ideal.update(dict.fromkeys(found))
+    return list(ideal)
+
+
+@lru_cache(maxsize=64)
+def _ideal(tops: frozenset[WeylElement], levi: frozenset[int]) -> frozenset:
+    rs = next(iter(tops)).system
+    tables = [v.perm for v in sorted(tops, key=lambda v: -v.length)]
+    return frozenset(_element(rs, y) for y in _ideal_tables(rs, tables, levi))
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:

@@ -21,6 +21,11 @@ level-by-level ``rootsystem._generate_positives`` is checked against.
 Cartan matrix ``bilinear``, the forms that ``weyl.reflection_from_root`` and
 the root permutations are checked against; the package itself only applies
 simple reflections from the Cartan matrix.
+``min_coset_fibers`` groups the fixed points of the blow-up by their
+projection ``weyl.min_coset_rep``, the route that ``nashcore.nash_fibers``,
+which keys each coset by z(R^- minus R_L^-), is checked against.
+``gamma_strings_by_tuples`` walks beta + gamma on root tuples, the route that
+``peterson._gamma_strings`` on integer root codes is checked against.
 ``oracle_translates`` is the translation graph with the step done per edge
 (``_oracle_tau`` after ``_oracle_sigma_shift``): each edge looks up its
 reflection, its target coset and the strings of M on the spot.  It is the
@@ -332,15 +337,53 @@ def sigma_on_mask():
     return _sigma_on_mask
 
 
+def _min_coset_fibers(d):
+    """{v: fiber over v}, each fixed point under its projection to W^P."""
+    groups = {}
+    for z in nashcore.nash_fixed_points(d):
+        groups.setdefault(weyl.min_coset_rep(z, d.p), set()).add(z)
+    return {v: frozenset(g) for v, g in groups.items()}
+
+
+@pytest.fixture(scope="session")
+def min_coset_fibers():
+    return _min_coset_fibers
+
+
+def _gamma_strings_by_tuples(system, gamma):
+    """The gamma-strings of two or more roots as (mask, indices bottom first),
+    each beta + gamma added coefficient by coefficient."""
+    if not system.is_root(gamma):
+        raise ValueError(f"{gamma} is not a root")
+    up = {}
+    for i, beta in enumerate(system.roots):
+        j = system.index.get(tuple(b + g for b, g in zip(beta, gamma)))
+        if j is not None:
+            up[i] = j
+    strings = []
+    for i in sorted(set(up) - set(up.values())):
+        ix = [i]
+        while ix[-1] in up:
+            ix.append(up[ix[-1]])
+        strings.append((sum(1 << j for j in ix), tuple(ix)))
+    return tuple(strings)
+
+
+@pytest.fixture(scope="session")
+def gamma_strings_by_tuples():
+    return _gamma_strings_by_tuples
+
+
 @pytest.fixture
 def fresh_step_tables():
-    """Empty the step tables and the graph memo before and after a test that
+    """Empty the step tables and the walk memos before and after a test that
     patches what they are built from, so no patched table outlives it."""
-    peterson._step_table.cache_clear()
-    peterson.eventual_translates.cache_clear()
+    memos = (peterson._step_table, peterson.eventual_translates, peterson._walked)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    peterson._step_table.cache_clear()
-    peterson.eventual_translates.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

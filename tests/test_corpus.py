@@ -4,9 +4,10 @@ Each digest is the SHA-256 of stdout, taken before weight sets became
 root-index bitmasks (the E6 translation graph's is the pin of the same call
 in ``bench/cases.py``); the corpus covers both translation-graph renderings
 on one top cell of each classical family, the E6 translation graph and Nash
-report, a covexillary conjecture check, the S_6 conjecture sweep and
-``verify`` at its defaults (the last two are the pins of the same calls in
-``bench/cases.py``), so a change of representation, of an enumeration's
+report, the Nash report and translation graph of the A7/P4 top cell and of
+a length-18 E7/P7 cell, a covexillary conjecture check, the S_6 conjecture
+sweep and ``verify`` at its defaults (the last six are the pins of the same
+calls in ``bench/cases.py``), so a change of representation, of an enumeration's
 order or of the JSON encoder that alters any rendered byte fails here.
 """
 
@@ -23,6 +24,14 @@ D4_TOP = ["--type", "D", "--rank", "4", "--node", "1", "--word", "1,2,4,3,2,1"]
 E6_TOP = [
     "--type", "E", "--rank", "6", "--node", "1",
     "--word", "6,5,4,3,2,4,5,6,1,3,4,5,2,4,3,1",
+]
+A7_TOP = [
+    "--type", "A", "--rank", "7", "--node", "4",
+    "--word", "4,5,6,7,3,4,5,6,2,3,4,5,1,2,3,4",
+]
+E7_CELL = [
+    "--type", "E", "--rank", "7", "--node", "7",
+    "--word", "5,6,7,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7",
 ]
 
 CORPUS = [
@@ -46,6 +55,14 @@ CORPUS = [
      "1183c17dac05cf9df2b2604365cf7cdb0b0cf36d7e7782228169c973a471e5da"),
     (["nash", *E6_TOP, "--format", "json"], 0,
      "226b8fa8c30734785dc10dcc456e52fbbcc290876f5f44c0a65dc73932acf68e"),
+    (["nash", *A7_TOP, "--format", "json"], 0,
+     "ea34bf28a2a725a6ac7ff390dc77d6b917acff90ab78bdb0215a0f9f6b46b4d9"),
+    (["peterson", *A7_TOP, "--format", "json"], 0,
+     "d56f57d68ede34044de69aba9240ad2b687515d8f04b699ec1dbe727a308b178"),
+    (["nash", *E7_CELL, "--format", "json"], 0,
+     "a7d770e26ca217cee6b7383617be12d4f0eaa6d6279c4bd1f0d673321b8d5225"),
+    (["peterson", *E7_CELL, "--format", "json"], 0,
+     "9acdbeb3a23841bc05ad93c2fa9a37f282f763f1f7747337a4a567bdc719f75b"),
     # (5,2,3,4,1) is the documented mismatch: exit 1 with a full report
     (["conjecture", "--perm", "5,2,3,4,1", "--format", "json"], 1,
      "d8f7d344e5b5712f3bf8f44bd543fa6fd2f1e4bf0981a16d9aa1aa97f459f998"),

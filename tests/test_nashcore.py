@@ -2,7 +2,7 @@
 
 import pytest
 
-from nashblowup import nashcore, rootsystem, weyl
+from nashblowup import nashcore, peterson, rootsystem, weyl
 from nashblowup.nashcore import (
     NotCominusculeError,
     SchubertDatum,
@@ -13,6 +13,7 @@ from nashblowup.nashcore import (
     nash_report,
     singular_fixed_points,
 )
+from nashblowup.sweeps import DEFAULT_TYPES, cominuscule_data
 from nashblowup.weyl import from_word, identity, parabolic, reduced_word
 
 
@@ -145,3 +146,36 @@ def test_c3_top_cell_smooth():
     d = SchubertDatum(rs, p, w)
     assert singular_fixed_points(d) == frozenset()
     assert delta_w(d) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("types", ["default", "E6"])
+def test_fibers_keyed_by_the_ambient_set_are_the_coset_projections(
+    types, min_coset_fibers
+):
+    # z(R^- minus R_L^-) names z W_P: grouping by it is grouping by the
+    # projection to W^P, and the shortest member of a group is its projection
+    which = DEFAULT_TYPES if types == "default" else [rootsystem.CartanType("E", 6)]
+    data = list(cominuscule_data(which))
+    assert len(data) == (160 if types == "default" else 54)
+    for d in data:
+        fibers = nashcore.nash_fibers(d)
+        assert fibers == min_coset_fibers(d), reduced_word(d.w)
+        for v, fiber in fibers.items():
+            assert all(v.length < z.length for z in fiber - {v})
+        assert singular_fixed_points(d) == {v for v, g in fibers.items() if len(g) > 1}
+
+
+def test_fibers_and_theorem2_on_tuple_tables(min_coset_fibers):
+    # A16 has 272 roots, so its tables, keys and weight sets are tuples and
+    # frozensets, not bytes
+    rs = rootsystem.root_system("A", 16)
+    p = weyl.ParabolicSubset(frozenset(range(1, 17)) - {8})
+    w = weyl.min_coset_rep(from_word(rs, [6, 7, 10, 9, 8, 7, 9, 8]), p)
+    assert type(w.perm) is tuple and w.length == 6
+    d = SchubertDatum(rs, p, w)
+    fibers = nashcore.nash_fibers(d)
+    assert fibers == min_coset_fibers(d)
+    assert any(len(g) > 1 for g in fibers.values())
+    report = peterson.verify_theorem2(d)
+    assert report.ok and report.fixed_point_count == report.state_count
+    assert singular_fixed_points(d) == peterson.ck_singular_points(w, p)

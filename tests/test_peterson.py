@@ -555,3 +555,60 @@ def test_step_tables_stay_within_their_bound():
     assert info.maxsize is not None
     assert 0 < info.currsize <= info.maxsize
     assert info.hits > info.misses
+
+
+# -- gamma-strings on root codes, and theorem 2 when it fails ------------------
+
+GAMMA_TYPES = [
+    *(f"A{r}" for r in range(1, 9)),
+    *(f"{f}{r}" for f in "BC" for r in range(2, 8)),
+    *(f"D{r}" for r in range(4, 8)),
+    "E6", "E7",
+]
+
+
+@pytest.mark.parametrize("name", GAMMA_TYPES)
+def test_gamma_strings_from_root_codes_match_the_tuple_walk(
+    name, gamma_strings_by_tuples
+):
+    rs = rootsystem.root_system(name[0], int(name[1:]))
+    for gamma in rs.roots:
+        assert peterson._gamma_strings(rs, gamma) == gamma_strings_by_tuples(rs, gamma)
+
+
+def test_gamma_strings_reject_a_vector_that_is_not_a_root(a3):
+    with pytest.raises(ValueError, match="not a root"):
+        peterson._gamma_strings(a3, (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "family,rank,levi,word",
+    [("A", 3, (1, 3), [1, 3, 2]), ("B", 3, (2, 3), [3, 2, 1])],
+)
+def test_verify_theorem2_reports_a_short_tangent_set(
+    monkeypatch, family, rank, levi, word
+):
+    # E short of one root: the report is the comparison of the map, taken
+    # per fixed point through min_coset_rep, with the translation graph
+    rs = rootsystem.root_system(family, rank)
+    p = parabolic(*levi)
+    d = nashcore.SchubertDatum(rs, p, weyl.min_coset_rep(from_word(rs, word), p))
+    short = peterson._tangent_indices(d)[1:]
+    monkeypatch.setattr(peterson, "_tangent_indices", lambda _: short)
+    report = verify_theorem2(d)
+    fixed = nashcore.nash_fixed_points(d)
+    images = Counter(
+        PetersonState(
+            weyl.min_coset_rep(z, p), peterson._index_mask(z.perm[i] for i in short)
+        )
+        for z in fixed
+    )
+    states = set(eventual_translates(d.w, p).nodes)
+    key = peterson._state_sort_key
+    assert not report.ok
+    assert (report.fixed_point_count, report.state_count) == (len(fixed), len(states))
+    assert report.missing == tuple(sorted(states - set(images), key=key))
+    assert report.extra == tuple(sorted(set(images) - states, key=key))
+    assert report.missing and report.extra
+    collided = sorted((s for s, c in images.items() if c > 1), key=key)
+    assert report.collisions == tuple((s, images[s]) for s in collided)

@@ -100,16 +100,46 @@ def test_singular_agreement_sweep_small():
     assert out.checked == 30
 
 
-def test_cominuscule_sweep_builds_one_graph_per_datum():
-    peterson.eventual_translates.cache_clear()
+def test_cominuscule_sweep_walks_once_per_datum():
+    # both checks of a datum read one edge-free walk (built by verify_theorem2,
+    # reused by ck_singular_points) and one pass over the fixed points: no
+    # translation graph is built and no fixed point is projected to W^P (the
+    # one projection per parabolic lists the data)
+    for memo in (peterson.eventual_translates, peterson._walked, weyl.min_coset_rep):
+        memo.cache_clear()
     bij, sing = cominuscule_sweep(SMALL)
-    info = peterson.eventual_translates.cache_info()
-    # verify_theorem2 builds the graph, ck_singular_points reuses it
-    assert (info.misses, info.hits) == (30, 30)
+    walks = peterson._walked.cache_info()
+    assert (walks.misses, walks.hits) == (30, 30)
+    graphs = peterson.eventual_translates.cache_info()
+    assert (graphs.misses, graphs.hits) == (0, 0)
+    projections = weyl.min_coset_rep.cache_info()
+    assert projections.misses + projections.hits == 8  # A1 1, A2 2, A3 3, B2 1, C2 1
     assert (bij.label, bij.checked, bij.failures) == ("translate bijection", 30, [])
     assert (sing.label, sing.checked, sing.failures) == (
         "singular locus agreement", 30, []
     )
+
+
+def test_cominuscule_sweep_records_theorem2_failures(monkeypatch):
+    # a tangent set short of one root: every image of a datum with w != e
+    # misses a weight, so the map hits no state; each failure is its counts
+    real = peterson._tangent_indices
+    monkeypatch.setattr(peterson, "_tangent_indices", lambda d: real(d)[1:])
+    types = _types("A3,B3")
+    bij, sing = cominuscule_sweep(types)
+    data = list(cominuscule_data(types))
+    failed = [d for d in data if d.w.length]
+    assert [(f["type"], f["w"]) for f in bij.failures] == [
+        (str(d.system.cartan_type), weyl.format_word(weyl.reduced_word(d.w))) for d in failed
+    ]
+    for f, d in zip(bij.failures, failed):
+        report = peterson.verify_theorem2(d)
+        assert f["missing"] == len(peterson.eventual_translates(d.w, d.p).nodes)
+        assert (f["missing"], f["extra"], f["collisions"]) == (
+            len(report.missing), len(report.extra), len(report.collisions)
+        )
+        assert f["extra"] > 0
+    assert (bij.checked, sing.checked, sing.failures) == (len(data), len(data), [])
 
 
 def test_cover_walks_match_the_bruhat_oracle_on_every_sweep_datum(weyl_group):
