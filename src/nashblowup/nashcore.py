@@ -168,7 +168,7 @@ def _fixed_point_groups(d: SchubertDatum) -> dict:
     pack = bytes if _table_type(rs) is bytes else frozenset
     key = _image_set(_ambient_indices(rs, d.p.levi), pack)
     groups: dict = {}
-    for t in _ideal_tables(rs, [d.w.perm], delta_w(d)):
+    for t in _ideal_tables(rs, [d.w], delta_w(d)):
         groups.setdefault(key(t), []).append(t)
     return groups
 

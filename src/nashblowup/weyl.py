@@ -369,7 +369,7 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
 
 def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
-    """The raw tables of the ideal of W^levi below the raw tables ``tops`` (in
+    """The raw tables of the ideal of W^levi below the elements ``tops`` (in
     W^levi), in build order; :func:`_ideal` interns them.  Below one top, the
     order extends the right weak order: x comes before x u when lengths add."""
     # Deodhar's Z-property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
@@ -389,13 +389,11 @@ def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
     )
     ideal: dict = {}
     for top in tops:
-        if top in ideal:  # so is all below it: longer tops first save builds
+        if top.perm in ideal:  # so is all below it: longer tops first save builds
             continue
-        word: list[int] = []  # top is s_{word[-1]} ... s_{word[0]}
-        _descend(system, top, range(1, system.rank + 1), True, word)
         found = [identity(system).perm]
         seen = set(found)  # outside W^P too: each table is tested once
-        for i in word:
+        for i in reversed(reduced_word(top)):
             s = steps[i - 1][2]
             for x in found[: len(found)]:
                 y = _compose(s, x)
@@ -410,8 +408,8 @@ def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
 @lru_cache(maxsize=64)
 def _ideal(tops: frozenset[WeylElement], levi: frozenset[int]) -> frozenset:
     rs = next(iter(tops)).system
-    tables = [v.perm for v in sorted(tops, key=lambda v: -v.length)]
-    return frozenset(_element(rs, y) for y in _ideal_tables(rs, tables, levi))
+    longest_first = sorted(tops, key=lambda v: -v.length)
+    return frozenset(_element(rs, y) for y in _ideal_tables(rs, longest_first, levi))
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:

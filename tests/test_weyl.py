@@ -245,7 +245,7 @@ def test_ideal_of_incomparable_tops_is_the_union():
 def test_ideal_build_order_extends_the_right_weak_order(case):
     # x comes before x s_i whenever both are in the ideal and x s_i is longer
     rs, w, p = case
-    built = weyl._ideal_tables(rs, [weyl.min_coset_rep(w, p).perm], p.levi)
+    built = weyl._ideal_tables(rs, [weyl.min_coset_rep(w, p)], p.levi)
     position = {t: k for k, t in enumerate(built)}
     assert len(position) == len(built)
     for t, k in position.items():
