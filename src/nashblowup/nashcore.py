@@ -12,12 +12,10 @@ and the blow-down map is the coset projection W^Q -> W^P on torus-fixed
 points.  This module computes Q, the fixed points, the fibers over fixed
 points of X_w^P, and hence the smooth locus.
 
-No fixed point is projected: u preserves R^- minus R_L^- iff it fixes the
-dominant weight 2rho - 2rho_L, whose stabilizer is W_P (Humphreys, Reflection
-Groups and Coxeter Groups, 1.12), so z(R^- minus R_L^-) keys the coset z W_P.
-As W^P lies in W^Q, a fiber holds its coset's minimal representative, its
-shortest member.  One pass over the raw tables of the W^Q ideal groups the
-fixed points by key; only what is handed out is interned.
+No fixed point is projected: u preserves R^- minus R_L^- iff it fixes 2rho -
+2rho_L, whose stabilizer is W_P (Humphreys, Reflection Groups and Coxeter
+Groups, 1.12), so z(R^- minus R_L^-) keys z W_P.  As W^P lies in W^Q, a
+fiber holds its coset's minimal representative, its shortest member.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ from .weyl import (
     _element,
     _ideal_tables,
     _read_only,
-    _table_type,
+    _set_type,
+    _table_length,
 )
 
 __all__ = [
@@ -150,8 +149,8 @@ def _ambient_indices(system: RootSystem, levi: frozenset[int]) -> tuple[int, ...
     )
 
 
-def _image_set(indices: tuple[int, ...], pack: type) -> Callable:
-    """Raw table t -> the images of ``indices`` under t, ascending, as ``pack``."""
+def _image_set(indices: tuple[int, ...], pack: Callable) -> Callable:
+    """Raw table t -> ``pack`` of the images of ``indices`` under t, ascending."""
     if len(indices) < 2:  # itemgetter gives a bare int for one index
         return lambda t: pack(t[i] for i in indices)
     return lambda t, images=itemgetter(*indices): pack(sorted(images(t)))
@@ -159,28 +158,23 @@ def _image_set(indices: tuple[int, ...], pack: type) -> Callable:
 
 @lru_cache(maxsize=1)  # the checks of one datum made in a row share it
 def _fixed_point_groups(d: SchubertDatum) -> dict:
-    """{key: raw tables of the fixed points z with that key}, in build order,
-    so each fiber's minimal representative, of which the rest are v u with
-    lengths adding, comes first.  The key is z(R^- minus R_L^-) as
-    :mod:`peterson`'s step tables hold it: ascending index bytes, or a
-    frozenset beside tuple tables."""
-    rs = d.system
-    pack = bytes if _table_type(rs) is bytes else frozenset
-    key = _image_set(_ambient_indices(rs, d.p.levi), pack)
+    """{z(R^- minus R_L^-) as step tables hold it: raw tables of the fixed
+    points z with that key, the shortest first}, from one walk of the ideal."""
+    rs, n = d.system, len(d.system.positive_roots)
+    key = _image_set(_ambient_indices(rs, d.p.levi), _set_type(rs))
     groups: dict = {}
     for t in _ideal_tables(rs, [d.w], delta_w(d)):
         groups.setdefault(key(t), []).append(t)
+    for g in groups.values():
+        if len(g) > 1:
+            g.sort(key=lambda t: _table_length(t, n))
     return groups
 
 
 def nash_fibers(d: SchubertDatum) -> dict[WeylElement, frozenset[WeylElement]]:
-    """{v: fiber over v} for every fixed point v of X_w^P: the fixed points
-    grouped by coset key, each under its shortest member."""
-    rs = d.system
-    return {
-        _element(rs, g[0]): frozenset(_element(rs, t) for t in g)
-        for g in _fixed_point_groups(d).values()
-    }
+    """{v: fiber over v} for every fixed point v of X_w^P, by coset key."""
+    rs, groups = d.system, _fixed_point_groups(d).values()
+    return {_element(rs, g[0]): frozenset(_element(rs, t) for t in g) for g in groups}
 
 
 def nash_fiber(v: WeylElement, d: SchubertDatum) -> frozenset[WeylElement]:

@@ -23,13 +23,12 @@ only the number of states over each z (:func:`translate_counts`).
 For cominuscule P every string meets the ambient set at most once, so sigma
 is the identity and the states biject with the fixed points of the Nash
 blow-up; the map witnessing the bijection is :func:`theorem2_map` and the
-check is :func:`verify_theorem2`.  It builds no graph and projects no fixed
-point: z W_P is keyed by z(R^- minus R_L^-) (see :mod:`nashcore`), which is
-ambient(z), so images and states compare as raw (key, M) index sets.
+check is :func:`verify_theorem2`.  It compares raw (key, M) index sets, no
+graph: the coset key of :mod:`nashcore` is ambient(z).
 
 Singularity detection: a fixed point u of X_w^P is singular iff some v >= u
 carries two distinct eventual translates (v, N) != (v, N'); see
-:func:`ck_singular_points`.  The checks of one datum share one edge-free walk.
+:func:`ck_singular_points`.  The checks of one datum share an edge-free walk.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .weyl import (
     _element,
     _ideal,
     _reflection_tables,
+    _set_type,
     _table_type,
 )
 
@@ -156,13 +156,10 @@ def ambient_weights(z: WeylElement, p: ParabolicSubset) -> int:
 
 @lru_cache(maxsize=16)
 def _root_codes(system: RootSystem) -> dict[int, int]:
-    """{code: index}: one base-32 digit per coefficient, offset by 16.  No
-    coefficient exceeds 4 in absolute value in a supported type, so adding
-    gamma's digits unshifted adds gamma to the root, without a carry."""
-    return {
-        sum(c + 16 << 5 * k for k, c in enumerate(b)): i
-        for i, b in enumerate(system.roots)
-    }
+    """{code: index}: a base-32 digit per coefficient, offset by 16; no supported
+    coefficient passes 4 in size, so adding gamma's digits adds gamma, no carry."""
+    codes = (sum(c + 16 << 5 * k for k, c in enumerate(b)) for b in system.roots)
+    return {c: i for i, c in enumerate(codes)}
 
 
 @lru_cache(maxsize=None)
@@ -193,22 +190,16 @@ def _gamma_strings(system: RootSystem, gamma: Root) -> tuple:
 
 def _packings(system: RootSystem, gamma: Root, ambient: int) -> tuple:
     """:func:`_packing` of each gamma-string with two or more ambient roots."""
-    pack = _table_type(system)
+    pack, sets = _table_type(system), _set_type(system)
     return tuple(
-        _packing(smask, ix, ambient & smask, pack)
+        _packing(smask, ix, ambient & smask, pack, sets)
         for smask, ix in _gamma_strings(system, gamma)
         if (ambient & smask) & ((ambient & smask) - 1)
     )
 
 
-def _member_set(indices: Iterable[int], pack: type) -> bytes | frozenset[int]:
-    """Root indices in the form the walk deletes: bytes beside bytes
-    tables, a frozenset beside tuple tables."""
-    return bytes(indices) if pack is bytes else frozenset(indices)
-
-
 @lru_cache(maxsize=None)
-def _packing(smask: int, ix: tuple[int, ...], inside: int, pack: type) -> tuple:
+def _packing(smask: int, ix: tuple, inside: int, pack: type, sets: type) -> tuple:
     """(smask, the string's members, packed index sets by count) for a string
     ``ix``, bottom first, whose ambient roots are ``inside``.
 
@@ -218,7 +209,7 @@ def _packing(smask: int, ix: tuple[int, ...], inside: int, pack: type) -> tuple:
     None: a weight set meeting the string fails.
     """
     run = [k for k, i in enumerate(ix) if inside >> i & 1]
-    members = _member_set(ix, pack)
+    members = sets(ix)
     if run[-1] - run[0] != len(run) - 1:
         return smask, members, None
     mu = run[0]
@@ -250,15 +241,14 @@ def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
             raise InvariantViolation("translation failed to decrease length")
         packings = _packings(rs, roots[j], ambient)
         steps.append((roots[j], target, table, packings))
-    return _member_set(_mask_indices(ambient), _table_type(rs)), tuple(steps)
+    return _set_type(rs)(_mask_indices(ambient)), tuple(steps)
 
 
 def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tuple:
     """(nodes, tables): the (z, M) reached from (w, LInv(w)) in breadth-first
-    order, steps of each in sorted order of gamma, with M as the ascending
-    index set of its roots (bytes up to 256 roots, a tuple above), and the
-    step table of each z by z.perm; each step is appended to ``edges``, when
-    given, as (source position, gamma, target position).
+    order, steps of each in sorted order of gamma, M the ascending index set
+    of its roots (bytes up to 256 roots, a tuple above), and each z's step
+    table by z.perm; each step goes to ``edges``, if given, as (source, gamma, target).
     Each state is checked to lie in ambient(z) when its steps are taken, so
     before the walk returns: the start raises ValueError, a translate
     InvariantViolation.
@@ -379,36 +369,26 @@ class Theorem2Report(NamedTuple):
 
 
 def verify_theorem2(d: nashcore.SchubertDatum) -> Theorem2Report:
-    """Check that z -> (min rep, z(E)) is a bijection onto the translate states.
-
-    Both sides are raw (key, M): an image is (key(z), z(E)), a state
-    (ambient(z'), M).  Only a failed check builds states."""
+    """Check that z -> (min rep, z(E)) is a bijection onto the translate states,
+    as raw (key(z), z(E)) against (ambient(z'), M); only a failure builds states."""
     rs = d.system
     groups = nashcore._fixed_point_groups(d)
     image = nashcore._image_set(_tangent_indices(d), _table_type(rs))
     images = [(k, image(t)) for k, g in groups.items() for t in g]
     nodes, tables = _walked(d.w, d.p)
-    report = Theorem2Report(True, len(images), len(nodes), (), (), ())
     found = {(tables[z.perm][0], m) for z, m in nodes}
-    if len(images) == len(found) and found.issuperset(images):  # so no collision
-        return report
-    counts, states = Counter(images), {(tables[z.perm][0], m): z for z, m in nodes}
-
-    def ordered(kms) -> list[tuple[PetersonState, tuple]]:
-        # a key names its z' or, with no state, its fiber's shortest member
-        named = []
-        for key, m in kms:
-            z = states.get((key, m)) or _element(rs, groups[key][0])
-            named.append((PetersonState(z, _index_mask(m)), (key, m)))
-        return sorted(named, key=lambda s_km: _state_sort_key(s_km[0]))
-
-    collided = ordered(km for km, c in counts.items() if c > 1)
-    return report._replace(
-        ok=False,
-        missing=tuple(s for s, _ in ordered(states.keys() - counts.keys())),
-        extra=tuple(s for s, _ in ordered(counts.keys() - states.keys())),
-        collisions=tuple((s, counts[km]) for s, km in collided),
+    if len(images) == len(found) and found == set(images):  # so no collision
+        return Theorem2Report(True, len(images), len(nodes), (), (), ())
+    # name both sides as states, a key by its fiber's shortest member
+    named = Counter(
+        PetersonState(_element(rs, groups[k][0]), _index_mask(m)) for k, m in images
     )
+    states = {PetersonState(z, _index_mask(m)) for z, m in nodes}
+    collided = sorted((s for s, c in named.items() if c > 1), key=_state_sort_key)
+    missing = tuple(sorted(states - set(named), key=_state_sort_key))
+    extra = tuple(sorted(set(named) - states, key=_state_sort_key))
+    collisions = tuple((s, named[s]) for s in collided)
+    return Theorem2Report(False, len(images), len(nodes), missing, extra, collisions)
 
 
 def _state_sort_key(s: PetersonState):
@@ -482,9 +462,8 @@ def graph_to_json(graph: TranslationGraph) -> dict:
 def fixed_point_table(d: nashcore.SchubertDatum) -> list[dict]:
     """Rows (v, v_tilde, N) over all fixed points of the Nash blow-up.
 
-    Each fixed point v is sent through the map of :func:`theorem2_map`,
-    v_tilde read off the fiber that holds v; rows run by decreasing length,
-    then reduced word.
+    Each fixed point v is sent through the map of :func:`theorem2_map`, v_tilde
+    read off v's fiber; rows run by decreasing length, then reduced word.
     """
     roots, tangent = d.system.roots, _tangent_indices(d)
     pairs = [(z, v) for v, g in nashcore.nash_fibers(d).items() for z in g]

@@ -6,11 +6,10 @@ first four checks below are the library form of the CLI ``verify``
 subcommand; :func:`conjecture_sweep`, the fifth, is that of
 ``conjecture --n`` only.
 :func:`cominuscule_sweep` makes the first two checks in one walk over the
-cominuscule data, each datum read by one raw pass: its fixed points grouped
-by the coset key z(R^- minus R_L^-), which names z W_P exactly because W_P
-is the stabilizer of that set, and one edge-free translation walk; no graph
-is built.  :func:`theorem2_sweep` and :func:`singular_agreement_sweep`
-return its halves.
+cominuscule data: per datum, the fixed points grouped by the coset key
+z(R^- minus R_L^-), exact as W_P is the stabilizer of that set, and one
+edge-free translation walk, no graph.  :func:`theorem2_sweep` and
+:func:`singular_agreement_sweep` return its halves.
 
 * translate-bijection sweep: the closed-form map is a bijection onto the
   eventual translates for every cominuscule datum of the given types;
@@ -116,10 +115,8 @@ def cominuscule_sweep(
 ) -> tuple[SweepOutcome, SweepOutcome]:
     """(translate bijection, singular locus agreement) in one pass over the data.
 
-    Both checks of a datum read one edge-free walk, which ``verify_theorem2``
-    makes and ``ck_singular_points`` takes from its one-entry memo, and one
-    grouping of the fixed points by coset key, which ``verify_theorem2`` and
-    ``nashcore.singular_fixed_points`` share.
+    Both checks of a datum read one edge-free walk and one grouping of the
+    fixed points by coset key, each kept in a one-entry memo.
     """
     bij = SweepOutcome("translate bijection")
     sing = SweepOutcome("singular locus agreement")

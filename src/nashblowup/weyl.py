@@ -12,8 +12,8 @@ chains, words) compose the raw tables themselves, through simple-reflection
 and reflection tables built once per system, and intern only what they
 return.
 
-Ideals {v in W^P : v <= w} are built up along a reduced word of w by
-Deodhar's Z-property, inside W^P, never listing W.
+Ideals {v in W^P : v <= w} are walked down from w by reflections inside W^P
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), never listing W.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
 s_1 s_3 s_2 and sends x to s_1(s_3(s_2(x))).  "Minimal coset representative"
@@ -85,8 +85,7 @@ class WeylElement:
     def length(self) -> int:
         """The number of positive roots sent to negative ones."""
         if self._length is None:
-            n = len(self.system.positive_roots)
-            self._length = sum(1 for j in self.perm[:n] if j >= n)
+            self._length = _table_length(self.perm, len(self.system.positive_roots))
         return self._length
 
     def __call__(self, root: Root) -> Root:
@@ -181,6 +180,18 @@ def _simple_indices(system: RootSystem) -> tuple[int, ...]:
 def _table_type(system: RootSystem) -> type:
     """The type of a system's root tables: bytes up to 256 roots, tuples above."""
     return bytes if len(system.roots) <= 256 else tuple
+
+
+def _set_type(system: RootSystem) -> type:
+    """Root index sets: ascending bytes beside bytes tables, else frozensets."""
+    return bytes if _table_type(system) is bytes else frozenset
+
+
+def _table_length(perm: bytes | tuple[int, ...], n: int) -> int:
+    """The length of a raw table: the positive roots (the first n) it makes negative."""
+    if type(perm) is bytes:
+        return len(perm[:n].translate(None, _IDENTITY[:n]))
+    return sum(1 for j in perm[:n] if j >= n)
 
 
 def _from_indices(system: RootSystem, indices: Iterable[int]) -> WeylElement:
@@ -369,16 +380,13 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
 
 def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
-    """The raw tables of the ideal of W^levi below the elements ``tops`` (in
-    W^levi), in build order; :func:`_ideal` interns them.  Below one top, the
-    order extends the right weak order: x comes before x u when lengths add."""
-    # Deodhar's Z-property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    # 2.2.7): for s u > u, the y <= s u are the x <= u and their s x.  In W^P,
-    # s y < y keeps y in W^P, so along a reduced word of a top, read from the
-    # right, each letter s adds the s x in W^P of the x found so far; a new
-    # s x is one longer than x, and s x u follows s x because x u follows x
+    """The raw tables of the ideal of W^levi below the elements ``tops``."""
+    # y = r_gamma v < v for each left inversion gamma of v, so every such y in
+    # W^P lies in the ideal; the covers of v in W^P are among them, and
+    # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
+    # reaches all of it.  It runs on raw tables, keyed by the table itself
     n = len(system.positive_roots)
-    steps = _simple_steps(system)
+    reflections = _reflection_tables(system)
     simples = _simple_indices(system)
     # y is in W^P iff it sends no simple root of the Levi below zero; the
     # extra index keeps the getter's result a tuple for a one-node Levi
@@ -387,29 +395,27 @@ def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
         if levi
         else None
     )
-    ideal: dict = {}
-    for top in tops:
-        if top.perm in ideal:  # so is all below it: longer tops first save builds
-            continue
-        found = [identity(system).perm]
-        seen = set(found)  # outside W^P too: each table is tested once
-        for i in reversed(reduced_word(top)):
-            s = steps[i - 1][2]
-            for x in found[: len(found)]:
-                y = _compose(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    if levi_images is None or max(levi_images(y)) < n:
-                        found.append(y)
-        ideal.update(dict.fromkeys(found))
-    return list(ideal)
+    found = [v.perm for v in tops]
+    seen = set(found)
+    for v in found:  # grows while it is read: a breadth-first walk
+        # the positive roots among v(R^-), the left inversions of v
+        if type(v) is bytes:
+            inversions = v[n:].translate(None, _IDENTITY[n:])
+        else:
+            inversions = [j for j in v[n:] if j < n]
+        for j in inversions:
+            y = _compose(reflections[j], v)
+            if y not in seen:  # outside W^P too: each table is tested once
+                seen.add(y)
+                if levi_images is None or max(levi_images(y)) < n:
+                    found.append(y)
+    return found
 
 
 @lru_cache(maxsize=64)
 def _ideal(tops: frozenset[WeylElement], levi: frozenset[int]) -> frozenset:
     rs = next(iter(tops)).system
-    longest_first = sorted(tops, key=lambda v: -v.length)
-    return frozenset(_element(rs, y) for y in _ideal_tables(rs, longest_first, levi))
+    return frozenset(_element(rs, y) for y in _ideal_tables(rs, tops, levi))
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:

@@ -612,3 +612,33 @@ def test_verify_theorem2_reports_a_short_tangent_set(
     assert report.missing and report.extra
     collided = sorted((s for s, c in images.items() if c > 1), key=key)
     assert report.collisions == tuple((s, images[s]) for s in collided)
+
+
+def test_verify_theorem2_reports_a_repeated_fixed_point(monkeypatch, a3):
+    # one fiber's second fixed point read as its first: as many images as
+    # states, yet one state is hit twice and one never, as the comparison of
+    # the map, taken per fixed point through min_coset_rep, with the graph finds
+    p = parabolic(1, 3)
+    d = nashcore.SchubertDatum(a3, p, weyl.min_coset_rep(from_word(a3, [1, 3, 2]), p))
+    real = nashcore._fixed_point_groups(d)
+    groups = {k: list(g) for k, g in real.items()}
+    g = next(g for g in groups.values() if len(g) > 1)
+    g[1] = g[0]
+    monkeypatch.setattr(nashcore, "_fixed_point_groups", lambda _: groups)
+    report = verify_theorem2(d)
+    fixed = [weyl._element(a3, t) for g in groups.values() for t in g]
+    tangent = peterson._tangent_indices(d)
+    images = Counter(
+        PetersonState(
+            weyl.min_coset_rep(z, p), peterson._index_mask(z.perm[i] for i in tangent)
+        )
+        for z in fixed
+    )
+    states = set(eventual_translates(d.w, p).nodes)
+    key = peterson._state_sort_key
+    assert not report.ok
+    assert report.fixed_point_count == report.state_count == len(states)
+    assert report.missing == tuple(sorted(states - set(images), key=key))
+    assert len(report.missing) == 1 and report.extra == ()
+    assert report.collisions == tuple((s, c) for s, c in images.items() if c > 1)
+    assert [c for _, c in report.collisions] == [2]

@@ -240,22 +240,6 @@ def test_ideal_of_incomparable_tops_is_the_union():
         assert weyl._ideal(frozenset({u, v}), levi) == below_u | below_v
 
 
-@settings(max_examples=60, deadline=None)
-@given(_element_and_levi())
-def test_ideal_build_order_extends_the_right_weak_order(case):
-    # x comes before x s_i whenever both are in the ideal and x s_i is longer
-    rs, w, p = case
-    built = weyl._ideal_tables(rs, [weyl.min_coset_rep(w, p)], p.levi)
-    position = {t: k for k, t in enumerate(built)}
-    assert len(position) == len(built)
-    for t, k in position.items():
-        x = weyl._element(rs, t)
-        for i in range(1, rs.rank + 1):
-            y = multiply(x, weyl.simple_reflection(rs, i))
-            if y.length > x.length and y.perm in position:
-                assert position[y.perm] > k
-
-
 def _order(rs, levi):
     """|W_levi| by Macdonald's formula: the product over the positive roots
     of the Levi of (ht a + 1) / ht a."""
