@@ -10,7 +10,8 @@ generated by
 
 and the blow-down map is the coset projection W^Q -> W^P on torus-fixed
 points.  This module computes Q, the fixed points, the fibers over fixed
-points of X_w^P, and hence the smooth locus.
+points of X_w^P, and hence the smooth locus; all but Q are read off one walk
+of W^Q below w, grouped by coset key.
 
 No fixed point is projected: u preserves R^- minus R_L^- iff it fixes 2rho -
 2rho_L, whose stabilizer is W_P (Humphreys, Reflection Groups and Coxeter
@@ -29,10 +30,7 @@ from .weyl import (
     ParabolicSubset,
     WeylElement,
     format_word,
-    interval_min_reps,
-    inverse,
     is_min_coset_rep,
-    left_inversions,
     reduced_word,
     _check_levi,
     _element,
@@ -127,18 +125,14 @@ def delta_w(d: SchubertDatum) -> frozenset[int]:
 
 
 def tangent_roots(d: SchubertDatum) -> frozenset[Root]:
-    """E = w^{-1}(LInv(w)), inside R^- minus R_L^-."""
-    winv = inverse(d.w)
-    return frozenset(winv(g) for g in left_inversions(d.w))
+    """E = w^{-1}(LInv(w)), inside R^- minus R_L^-: the negative roots that
+    w makes positive, read off w's table."""
+    roots, n = d.system.roots, len(d.system.positive_roots)
+    return frozenset(roots[i] for i, j in enumerate(d.w.perm[n:], n) if j < n)
 
 
 def nash_parabolic(d: SchubertDatum) -> ParabolicSubset:
     return ParabolicSubset(delta_w(d))
-
-
-def nash_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
-    """Torus-fixed points of the Nash blow-up: {z in W^Q : z <= w}, walked inside W^Q."""
-    return interval_min_reps(d.w, nash_parabolic(d))
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +163,13 @@ def _fixed_point_groups(d: SchubertDatum) -> dict:
         if len(g) > 1:
             g.sort(key=lambda t: _table_length(t, n))
     return groups
+
+
+def nash_fixed_points(d: SchubertDatum) -> frozenset[WeylElement]:
+    """Torus-fixed points of the Nash blow-up: {z in W^Q : z <= w}, the union
+    of the fibers."""
+    rs, groups = d.system, _fixed_point_groups(d).values()
+    return frozenset(_element(rs, t) for g in groups for t in g)
 
 
 def nash_fibers(d: SchubertDatum) -> dict[WeylElement, frozenset[WeylElement]]:

@@ -17,8 +17,9 @@ r_gamma's root permutation, and for each gamma-string with two or more
 ambient roots its packed sets by count.  Iterating from (w, LInv(w)) until
 no further translation applies is one breadth-first walk over these
 tables (:func:`_walk`, on raw root indices, Casselman's tables applied one
-layer up); it yields the translation graph (:func:`eventual_translates`), or
-only the number of states over each z (:func:`translate_counts`).
+layer up); it yields the translation graph (:func:`eventual_translates`), or,
+without edges and kept for the next call, the states alone: their number
+over each z (:func:`translate_counts`) and the checks below read that walk.
 
 For cominuscule P every string meets the ambient set at most once, so sigma
 is the identity and the states biject with the fixed points of the Nash
@@ -28,7 +29,7 @@ graph: the coset key of :mod:`nashcore` is ambient(z).
 
 Singularity detection: a fixed point u of X_w^P is singular iff some v >= u
 carries two distinct eventual translates (v, N) != (v, N'); see
-:func:`ck_singular_points`.  The checks of one datum share an edge-free walk.
+:func:`ck_singular_points`, which reads :func:`translate_counts`.
 """
 
 from __future__ import annotations
@@ -324,20 +325,21 @@ def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     return TranslationGraph(root=nodes[0], nodes=nodes, edges=edges)
 
 
-def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]:
-    """The number of translation states over each z, without building the graph."""
-    return Counter(z for z, _ in _walk(w, p)[0])
-
-
 # the edge-free walk, the last one kept (read only): the checks of one datum share it
 _walked = lru_cache(maxsize=1)(_walk)
 
 
+def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]:
+    """The number of translation states over each z, read off the edge-free walk."""
+    return Counter(z for z, _ in _walked(w, p)[0])
+
+
 @lru_cache(maxsize=256)
 def _tangent_indices(d: nashcore.SchubertDatum) -> tuple[int, ...]:
-    """E = w^{-1}(LInv(w)) as indices in ``d.system.roots``."""
-    index = d.system.index
-    return tuple(index[r] for r in nashcore.tangent_roots(d))
+    """E = w^{-1}(LInv(w)) as indices in ``d.system.roots``: the i >= n (the
+    negative roots) with ``w.perm[i] < n``, which w makes positive."""
+    n = len(d.system.positive_roots)
+    return tuple(i for i, j in enumerate(d.w.perm[n:], n) if j < n)
 
 
 def theorem2_map(z: WeylElement, d: nashcore.SchubertDatum) -> PetersonState:
@@ -402,8 +404,7 @@ def ck_singular_points(w: WeylElement, p: ParabolicSubset) -> frozenset[WeylElem
     translates (v, N) != (v, N'): the singular locus is the ideal of W^P
     below those v.
     """
-    per_z = Counter(z for z, _ in _walked(w, p)[0])
-    multi = frozenset(z for z, c in per_z.items() if c > 1)
+    multi = frozenset(z for z, c in translate_counts(w, p).items() if c > 1)
     return _ideal(multi, p.levi) if multi else frozenset()
 
 

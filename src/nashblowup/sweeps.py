@@ -9,7 +9,10 @@ subcommand; :func:`conjecture_sweep`, the fifth, is that of
 cominuscule data: per datum, the fixed points grouped by the coset key
 z(R^- minus R_L^-), exact as W_P is the stabilizer of that set, and one
 edge-free translation walk, no graph.  :func:`theorem2_sweep` and
-:func:`singular_agreement_sweep` return its halves.
+:func:`singular_agreement_sweep` return its halves.  The fiber-product
+sweep reads the same pass per Grassmannian datum: a fiber's size is the
+length of its group, its base point the group's shortest member, and the
+translate counts come from the walk.
 
 * translate-bijection sweep: the closed-form map is a bijection onto the
   eventual translates for every cominuscule datum of the given types;
@@ -26,6 +29,7 @@ edge-free translation walk, no graph.  :func:`theorem2_sweep` and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -43,6 +47,7 @@ from .weyl import (
     interval_min_reps,
     longest_element,
     reduced_word,
+    _element,
 )
 
 __all__ = [
@@ -188,42 +193,42 @@ def coess_formula_sweep(max_n: int = 8) -> SweepOutcome:
                             "n": n,
                             "k": k,
                             "w": list(w),
-                            "direct": sorted(
-                                (b.p, b.q, b.r) for b in direct
-                            ),
-                            "formula": sorted(
-                                (b.p, b.q, b.r) for b in formula
-                            ),
+                            "direct": sorted([b.p, b.q, b.r] for b in direct),
+                            "formula": sorted([b.p, b.q, b.r] for b in formula),
                         }
                     )
     return out
 
 
-def _fiberproduct_point_counts(
-    n: int, k: int, w: grassmann.Permutation
-) -> list[tuple[grassmann.Permutation, int, int, int]]:
-    """(v, nash fiber size, resolution product, translate count) per point."""
+def _fiberproduct_mismatches(n: int, k: int, w: grassmann.Permutation) -> list[dict]:
+    """The fixed points v of X_w^P where Nash fiber size, resolution product
+    and translate count differ, by (length, reduced word) of v."""
     rs = root_system("A", n - 1)
     p = ParabolicSubset(frozenset(range(1, n)) - {k})
     w_el = grassmann.perm_to_weyl(rs, w)
-    datum = nashcore.SchubertDatum(system=rs, p=p, w=w_el)
-
+    groups = nashcore._fixed_point_groups(nashcore.SchubertDatum(rs, p, w_el))
+    counts = peterson.translate_counts(w_el, p)
     # the resolutions live over the flag variety with steps at the box
     # columns, so each Grassmannian point is evaluated at its image flag
     cov = zelevinsky.covexillary_datum(grassmann.grassmannian_max_rep(w, k))
-
-    translate_counts = peterson.translate_counts(w_el, p)
-    fibers = nashcore.nash_fibers(datum)
-
-    rows = []
-    for v_el in sorted(fibers, key=lambda z: (z.length, reduced_word(z))):
-        v = grassmann.weyl_to_perm(v_el)
-        flag = zelevinsky.CoordFlag(
-            steps=tuple(tuple(sorted(v[: b.q])) for b in cov.boxes)
-        )
-        product = zelevinsky.fiberproduct_count(flag, cov)
-        rows.append((v, len(fibers[v_el]), product, translate_counts[v_el]))
-    return rows
+    bases, bad = set(), []
+    for g in groups.values():  # a fiber's base point is its shortest member
+        v = _element(rs, g[0])
+        perm = grassmann.weyl_to_perm(v)
+        uppers = [bisect_right(sorted(perm[: b.q]), b.p) for b in cov.boxes]
+        z_count, zdual_count = zelevinsky._chain_counts(uppers, cov)
+        size, product, translates = len(g), z_count * zdual_count, counts[v]
+        bases.add(v)
+        if not size == product == translates:
+            point = {
+                "v": list(perm),
+                "nash_fiber": size,
+                "product": product,
+                "translates": translates,
+            }
+            bad.append((v.length, reduced_word(v), point))
+    zelevinsky._check_states_over(counts, bases)
+    return [point for *_, point in sorted(bad)]
 
 
 def fiberproduct_sweep(max_n: int = 7) -> SweepOutcome:
@@ -231,28 +236,10 @@ def fiberproduct_sweep(max_n: int = 7) -> SweepOutcome:
     for n in range(2, max_n + 1):
         for k in range(1, n):
             for w in grassmannian_perms(n, k):
-                rows = _fiberproduct_point_counts(n, k, w)
+                points = _fiberproduct_mismatches(n, k, w)
                 out.checked += 1
-                bad = [
-                    row for row in rows if not (row[1] == row[2] == row[3])
-                ]
-                if bad:
-                    out.failures.append(
-                        {
-                            "n": n,
-                            "k": k,
-                            "w": list(w),
-                            "points": [
-                                {
-                                    "v": list(v),
-                                    "nash_fiber": fib,
-                                    "product": prod,
-                                    "translates": tr,
-                                }
-                                for v, fib, prod, tr in bad
-                            ],
-                        }
-                    )
+                if points:
+                    out.failures.append({"n": n, "k": k, "w": list(w), "points": points})
     return out
 
 

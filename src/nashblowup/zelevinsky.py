@@ -15,14 +15,16 @@ each count is a product of binomial coefficients, one per box.
 
 The conjecture check compares, at every fixed point, the product of the two
 fiber counts with the number of eventual Peterson translates of the minimal
-representative of w W_P sitting at that point.
+representative of w W_P sitting at that point; a translate sitting at no
+fixed point is an internal fault.  Both counts and the rank conditions are
+read off |S_{q_i} cap {1..p_i}| per box, in one place.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .grassmann import (
     CoessBox,
@@ -112,11 +114,16 @@ def schubert_fixed_points(d: CovexillaryDatum) -> list[tuple[Permutation, CoordF
 
 
 def _chain_counts(uppers: Sequence[int], d: CovexillaryDatum) -> tuple[int, int]:
-    """(Z count, Z' count) from |S_{q_i} cap {1..p_i}| per box, at a point
-    that meets every rank condition: the products of binomials of
+    """(Z count, Z' count) from |S_{q_i} cap {1..p_i}| per box, checked to
+    meet every rank condition: the products of binomials of
     :func:`z_fiber_count` and :func:`zdual_fiber_count`."""
     z_count, prev_r = 1, 0
     for upper, box in zip(uppers, d.boxes):
+        if upper < box.r:
+            raise ValueError(
+                f"flag violates the rank condition of box "
+                f"({box.p},{box.q},{box.r}); not a point of the variety"
+            )
         z_count *= comb(upper - prev_r, box.r - prev_r)
         prev_r = box.r
     zdual_count, above = 1, d.n
@@ -128,15 +135,16 @@ def _chain_counts(uppers: Sequence[int], d: CovexillaryDatum) -> tuple[int, int]
     return z_count, zdual_count
 
 
-def _rank_violation(box: CoessBox) -> ValueError:
-    return ValueError(
-        f"flag violates the rank condition of box "
-        f"({box.p},{box.q},{box.r}); not a point of the variety"
-    )
+def _check_states_over(counts: Iterable, fixed: Container) -> None:
+    """Raise unless every z that carries translation states is a fixed point."""
+    foreign = [z for z in counts if z not in fixed]
+    if foreign:
+        v = list(weyl_to_perm(foreign[0]))
+        raise InvariantViolation(f"translation states over {v}, not a fixed point")
 
 
 def _fiber_counts(flag: CoordFlag, d: CovexillaryDatum) -> tuple[int, int]:
-    """(Z count, Z' count) at a flag, checked once to be a point of the variety."""
+    """(Z count, Z' count) at a flag, its steps checked to form a flag."""
     if len(flag.steps) != len(d.boxes):
         raise ValueError("flag has the wrong number of steps")
     prev: frozenset[int] = frozenset()
@@ -144,13 +152,11 @@ def _fiber_counts(flag: CoordFlag, d: CovexillaryDatum) -> tuple[int, int]:
     uppers = []  # |S_{q_i} cap {1..p_i}|
     for step, box in zip(flag.steps, d.boxes):
         s = frozenset(step)
-        if len(s) != box.q or min(s) < 1 or max(s) > d.n:
+        if len(step) != box.q or len(s) != box.q or min(s) < 1 or max(s) > d.n:
             raise ValueError(f"step {step} is not a {box.q}-subset of 1..{d.n}")
         if box.q >= prev_q and not prev <= s:
             raise ValueError("flag steps are not nested")
         uppers.append(len([x for x in s if x <= box.p]))
-        if uppers[-1] < box.r:
-            raise _rank_violation(box)
         prev, prev_q = s, box.q
     return _chain_counts(uppers, d)
 
@@ -238,19 +244,18 @@ def conjecture_check(w: Permutation) -> ConjectureReport:
     seed = min_coset_rep_perm(w, d.levi)
     seed_el = perm_to_weyl(root_system("A", d.n - 1), seed)
     counts = translate_counts(seed_el, ParabolicSubset(d.levi))
+    fixed = _fixed_points(d, seed_el)
+    _check_states_over(counts, {z for _, z, _ in fixed})
     # each flag step S_q is sorted, so |S_q cap {1..p}| is one bisection; the
     # rank condition and both counts depend on these numbers alone, and the
     # points of one w repeat them (86% of the points of S_6, 93% of S_7)
     ps = [b.p for b in d.boxes]
     chains_at: dict[tuple[int, ...], tuple[int, int]] = {}
     points = []
-    for v, z, flag in _fixed_points(d, seed_el):
+    for v, z, flag in fixed:
         uppers = tuple(map(bisect_right, flag.steps, ps))
         chains = chains_at.get(uppers)
         if chains is None:
-            for upper, box in zip(uppers, d.boxes):
-                if upper < box.r:
-                    raise _rank_violation(box)
             chains = chains_at[uppers] = _chain_counts(uppers, d)
         zc, zdc = chains
         points.append(ConjecturePoint(v, zc, zdc, zc * zdc, counts[z]))

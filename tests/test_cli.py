@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nashblowup
-from nashblowup import cli, peterson, sweeps, zelevinsky
+from nashblowup import cli, peterson, sweeps, weyl, zelevinsky
 from nashblowup.cli import MAX_RANK, VERIFY_LIMITS, main
 
 A3_ARGS = ["--type", "A", "--rank", "3", "--node", "2", "--word", "1,3,2"]
@@ -483,6 +483,31 @@ def test_colliding_flags_are_caught_before_rank_conditions(capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("invariant violated: fixed flags failed to separate")
+
+
+@pytest.mark.parametrize(
+    "module,argv,v",
+    [
+        (zelevinsky, ["conjecture", "--perm", "1,3,2"], "[3, 1, 2]"),
+        (peterson, ["verify", "--skip-translates", "--skip-coess",
+                    "--max-n-fibers", "3"], "[2, 1]"),
+    ],
+    ids=["conjecture", "verify"],
+)
+def test_states_off_the_fixed_points_exit_1(capsys, monkeypatch, module, argv, v):
+    # a translation state over the top of W^P, above every fixed point of
+    # the first w checked: an internal fault, one line, no traceback
+    real = peterson.translate_counts
+
+    def foreign(w, p):
+        counts = real(w, p)
+        counts[weyl.min_coset_rep(weyl.longest_element(w.system), p)] += 1
+        return counts
+
+    monkeypatch.setattr(module, "translate_counts", foreign)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"invariant violated: translation states over {v}, not a fixed point\n"
 
 
 def test_sweep_of_a_non_covexillary_w_exits_1(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import importlib
 import types
+from pathlib import Path
 
 import nashblowup
 
@@ -66,3 +67,14 @@ def test_public_surface():
         if not attr.startswith("_"):
             assert isinstance(value, types.ModuleType), attr
             assert value.__name__ == f"nashblowup.{attr}", attr
+
+
+SRC_LINES = 3008  # raise on purpose, and say why in CHANGES.md
+
+
+def test_src_line_budget():
+    # the package's size is tracked next to its speed: a change that needs
+    # more lines raises the pin on purpose
+    src = Path(nashblowup.__file__).resolve().parent
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py"))
+    assert lines <= SRC_LINES

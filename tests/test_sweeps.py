@@ -5,10 +5,14 @@ enumeration sizes and the outcome bookkeeping so a silent change in the
 iteration space cannot slip through.
 """
 
+import json
 from collections import Counter
 from itertools import permutations
 
+import pytest
+
 from nashblowup import (
+    cli,
     grassmann,
     nashcore,
     peterson,
@@ -17,7 +21,7 @@ from nashblowup import (
     weyl,
     zelevinsky,
 )
-from nashblowup.rootsystem import CartanType
+from nashblowup.rootsystem import CartanType, InvariantViolation
 from nashblowup.sweeps import (
     DEFAULT_TYPES,
     SweepOutcome,
@@ -191,6 +195,145 @@ def test_fiberproduct_sweep_small():
     out = fiberproduct_sweep(5)
     assert out.ok
     assert out.checked == 52
+
+
+def test_fiberproduct_sweep_reads_one_grouping_and_one_walk_per_datum(monkeypatch):
+    # a datum's sizes come from its grouping of the fixed points and its
+    # counts from one edge-free walk; no fiber is interned as a set
+    def no_fibers(d):
+        raise AssertionError("the sweep built the fibers as sets")
+
+    monkeypatch.setattr(nashcore, "nash_fibers", no_fibers)
+    for memo in (peterson._walked, nashcore._fixed_point_groups):
+        memo.cache_clear()
+    out = fiberproduct_sweep(5)
+    assert (out.checked, out.failures) == (52, [])
+    assert peterson._walked.cache_info().misses == 52
+    assert nashcore._fixed_point_groups.cache_info().misses == 52
+
+
+def test_fiberproduct_sweep_rejects_states_off_the_fixed_points(monkeypatch):
+    # a state over the top of W^P, which lies above e: the sweep reads the
+    # counts at fixed points only, so it must look for such a z itself
+    real = peterson.translate_counts
+
+    def foreign(w, p):
+        counts = Counter(real(w, p))
+        counts[weyl.min_coset_rep(weyl.longest_element(w.system), p)] += 1
+        return counts
+
+    monkeypatch.setattr(peterson, "translate_counts", foreign)
+    with pytest.raises(InvariantViolation) as exc:
+        fiberproduct_sweep(3)
+    assert str(exc.value) == "translation states over [2, 1], not a fixed point"
+
+
+# -- failure records of the coessential and fiber-product sweeps --------------
+
+SHORT_W, SHORT_K = (2, 4, 1, 3), 2  # formula boxes (2,1,1) and (2,3,2)
+GRASSMANNIAN_UP_TO_4 = [
+    (n, k, w) for n in (2, 3, 4) for k in range(1, n) for w in grassmannian_perms(n, k)
+]
+
+
+def _drop_one_box(monkeypatch):
+    """The box formula short of its least box at SHORT_W alone."""
+    real = grassmann.coess_nash_formula
+
+    def short(w, k):
+        boxes = real(w, k)
+        return frozenset(sorted(boxes)[1:]) if (w, k) == (SHORT_W, SHORT_K) else boxes
+
+    monkeypatch.setattr(grassmann, "coess_nash_formula", short)
+
+
+def _one_more_state(monkeypatch, *, at_top):
+    """One translation state too many over the identity, and over the top w
+    if ``at_top``."""
+    real = peterson.translate_counts
+
+    def more(w, p):
+        counts = Counter(real(w, p))
+        counts[weyl.identity(w.system)] += 1
+        if at_top and w.length:
+            counts[w] += 1
+        return counts
+
+    monkeypatch.setattr(peterson, "translate_counts", more)
+
+
+def _datum(n, k, w):
+    rs = rootsystem.root_system("A", n - 1)
+    p = weyl.ParabolicSubset(frozenset(range(1, n)) - {k})
+    return nashcore.SchubertDatum(rs, p, grassmann.perm_to_weyl(rs, w))
+
+
+def _point_record(d, v_el):
+    fiber = len(nashcore.nash_fiber(v_el, d))
+    return {
+        "v": list(grassmann.weyl_to_perm(v_el)),
+        "nash_fiber": fiber,
+        "product": fiber,
+        "translates": fiber + 1,
+    }
+
+
+def test_coess_formula_sweep_records_a_failure(monkeypatch):
+    _drop_one_box(monkeypatch)
+    out = coess_formula_sweep(4)
+    assert out.checked == 1 + 4 + 11  # w != e in S_2, S_3 and S_4
+    # the triples are lists, which the CLI's JSON encoder takes
+    assert out.failures == [
+        {
+            "n": 4,
+            "k": 2,
+            "w": [2, 4, 1, 3],
+            "direct": [[2, 1, 1], [2, 3, 2]],
+            "formula": [[2, 3, 2]],
+        }
+    ]
+
+
+def test_fiberproduct_sweep_records_failures(monkeypatch):
+    # a state too many over e and over w: both points fail, e first as the
+    # shorter, with the fiber size and product that hold there
+    _one_more_state(monkeypatch, at_top=True)
+    out = fiberproduct_sweep(4)
+    assert out.checked == len(GRASSMANNIAN_UP_TO_4) == 22
+    assert len(out.failures) == 22
+    for f, (n, k, w) in zip(out.failures, GRASSMANNIAN_UP_TO_4):
+        d = _datum(n, k, w)
+        points = [weyl.identity(d.system)] + ([d.w] if d.w.length else [])
+        assert f == {
+            "n": n, "k": k, "w": list(w),
+            "points": [_point_record(d, v) for v in points],
+        }
+        assert f["points"][-1]["nash_fiber"] == 1  # w alone lies over w
+
+
+def test_verify_json_carries_the_failure_records(monkeypatch, capsys):
+    _drop_one_box(monkeypatch)
+    _one_more_state(monkeypatch, at_top=False)
+    argv = ["verify", "--skip-translates", "--max-n-coess", "4", "--max-n-fibers", "4",
+            "--format", "json"]
+    assert cli.main(argv) == 1
+    coess, fibers = json.loads(capsys.readouterr().out)
+    assert (coess["label"], coess["checked"], coess["ok"]) == (
+        "coessential closed form", 16, False
+    )
+    assert coess["failures"] == [
+        {"n": 4, "k": 2, "w": [2, 4, 1, 3], "direct": [[2, 1, 1], [2, 3, 2]],
+         "formula": [[2, 3, 2]]}
+    ]
+    assert (fibers["label"], fibers["checked"], fibers["ok"]) == (
+        "fiber product counts", 22, False
+    )
+    want = []
+    for n, k, w in GRASSMANNIAN_UP_TO_4:
+        d = _datum(n, k, w)
+        point = _point_record(d, weyl.identity(d.system))
+        want.append({"n": n, "k": k, "w": list(w), "points": [point]})
+    assert fibers["failures"] == want
 
 
 def test_conjecture_sweep_s4_passes():

@@ -13,7 +13,8 @@ from collections import Counter
 
 import pytest
 
-from nashblowup import zelevinsky
+from nashblowup import weyl, zelevinsky
+from nashblowup.rootsystem import InvariantViolation
 from nashblowup.zelevinsky import (
     ConjectureReport,
     CoordFlag,
@@ -325,8 +326,29 @@ def test_flag_validation():
     d = covexillary_datum(W5)
     with pytest.raises(ValueError):
         z_fiber_count(CoordFlag(steps=((1,), (1, 2, 3))), d)  # wrong size
+    with pytest.raises(ValueError, match=r"\(1, 2, 2\) is not a 2-subset"):
+        z_fiber_count(CoordFlag(steps=((1, 2, 2), (1, 2, 3))), d)  # a repeat
     with pytest.raises(ValueError):
         z_fiber_count(CoordFlag(steps=((1, 2), (1, 3, 4))), d)  # not nested
+    # |{4,5} cap {1,2}| = 0 < 1: a flag, but not a point of the variety
+    with pytest.raises(ValueError, match=r"rank condition of box \(2,2,1\)"):
+        zdual_fiber_count(CoordFlag(steps=((4, 5), (3, 4, 5))), d)
+
+
+def test_conjecture_check_rejects_states_off_the_fixed_points(monkeypatch):
+    # a state over the top of W^P, which lies above the seed e of 132: the
+    # points read the counts at fixed points only, so the check looks itself
+    real = zelevinsky.translate_counts
+
+    def foreign(w, p):
+        counts = Counter(real(w, p))
+        counts[weyl.min_coset_rep(weyl.longest_element(w.system), p)] += 1
+        return counts
+
+    monkeypatch.setattr(zelevinsky, "translate_counts", foreign)
+    with pytest.raises(InvariantViolation) as exc:
+        conjecture_check((1, 3, 2))
+    assert str(exc.value) == "translation states over [3, 1, 2], not a fixed point"
 
 
 @pytest.fixture(scope="module")
