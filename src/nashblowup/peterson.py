@@ -45,7 +45,6 @@ from .weyl import (
     WeylElement,
     format_word,
     is_min_coset_rep,
-    left_inversions,
     min_coset_rep,
     reduced_word,
     _check_levi,
@@ -267,7 +266,8 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tupl
         )
     pack = _table_type(rs)
     is_bytes = pack is bytes
-    nodes = [(w, pack(sorted(map(rs.index.__getitem__, left_inversions(w)))))]
+    n = len(rs.positive_roots)  # LInv(w): the positive roots among w(R^-)
+    nodes = [(w, pack(sorted(j for j in w.perm[n:] if j < n)))]
     # keyed by raw tables, hashed in C; an element's __hash__ would run
     # Python code.  Only lookups: the order is that of ``nodes``
     position = {(w.perm, nodes[0][1]): 0}

@@ -9,11 +9,11 @@ sixth of a tuple's memory) up to 256 roots, tuples composed by ``map`` above;
 an element hashes as the tuple, which, unlike bytes, ignores PYTHONHASHSEED.
 Elements are interned per root system.  The walks below (ideals, descent
 chains, words) compose the raw tables themselves, through simple-reflection
-and reflection tables built once per system, and intern only what they
-return.
+tables built once per system, and intern only what they return.
 
-Ideals {v in W^P : v <= w} are walked down from w by reflections inside W^P
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), never listing W.
+Ideals {v in W^P : v <= w} grow from the identity along a reduced word of w
+by Deodhar's lifting property, one simple reflection per member and letter,
+never listing W.
 
 Conventions: all products compose as functions, so from_word([1, 3, 2]) is
 s_1 s_3 s_2 and sends x to s_1(s_3(s_2(x))).  "Minimal coset representative"
@@ -379,37 +379,30 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return bruhat_leq(v, wsi)
 
 
-def _ideal_tables(system: RootSystem, tops: list, levi: frozenset[int]) -> list:
-    """The raw tables of the ideal of W^levi below the elements ``tops``."""
-    # y = r_gamma v < v for each left inversion gamma of v, so every such y in
-    # W^P lies in the ideal; the covers of v in W^P are among them, and
-    # intervals of W^P are graded (Deodhar, Math. Z. 153, 1977), so the walk
-    # reaches all of it.  It runs on raw tables, keyed by the table itself
-    n = len(system.positive_roots)
-    reflections = _reflection_tables(system)
-    simples = _simple_indices(system)
-    # y is in W^P iff it sends no simple root of the Levi below zero; the
+def _ideal_tables(system: RootSystem, tops: Iterable, levi: frozenset[int]) -> list:
+    """The raw tables of the ideal of W^levi below ``tops``, which must lie
+    in W^levi, the identity first.  By Deodhar's lifting property (Math. Z.
+    153, 1977), if t = s t' > t' the ideal below t is the ideal below t' plus
+    s x for each member x with s x in W^levi; so each ideal grows from the
+    identity along its top's reduced word read from the right, and a top
+    inside an earlier ideal is skipped."""
+    n, steps = len(system.positive_roots), _simple_steps(system)
+    # x is in W^levi iff it sends no simple root of the Levi below zero; the
     # extra index keeps the getter's result a tuple for a one-node Levi
-    levi_images = (
-        itemgetter(*(simples[i - 1] for i in levi), simples[min(levi) - 1])
-        if levi
-        else None
-    )
-    found = [v.perm for v in tops]
-    seen = set(found)
-    for v in found:  # grows while it is read: a breadth-first walk
-        # the positive roots among v(R^-), the left inversions of v
-        if type(v) is bytes:
-            inversions = v[n:].translate(None, _IDENTITY[n:])
-        else:
-            inversions = [j for j in v[n:] if j < n]
-        for j in inversions:
-            y = _compose(reflections[j], v)
-            if y not in seen:  # outside W^P too: each table is tested once
-                seen.add(y)
-                if levi_images is None or max(levi_images(y)) < n:
-                    found.append(y)
-    return found
+    ks = [steps[i - 1][1] for i in levi]
+    below = itemgetter(*ks, ks[0]) if ks else None
+    found: dict = {}  # insertion-ordered sets of raw tables, here and below
+    for top in sorted(tops, key=lambda v: v.length, reverse=True):
+        if top.perm not in found:
+            ideal = dict.fromkeys((identity(system).perm,))
+            for i in reversed(reduced_word(top)):
+                s = steps[i - 1][2]
+                for x in list(ideal):
+                    y = _compose(s, x)
+                    if y not in ideal and (not ks or max(below(y)) < n):
+                        ideal[y] = None
+            found.update(ideal)
+    return list(found)
 
 
 @lru_cache(maxsize=64)
@@ -419,14 +412,14 @@ def _ideal(tops: frozenset[WeylElement], levi: frozenset[int]) -> frozenset:
 
 
 def lower_interval(w: WeylElement) -> frozenset[WeylElement]:
-    """All v <= w: the walk of :func:`interval_min_reps` with an empty Levi."""
+    """All v <= w: the ideal of :func:`interval_min_reps` with an empty Levi."""
     return _ideal(frozenset((w,)), frozenset())
 
 
 def interval_min_reps(
     w: WeylElement, p: ParabolicSubset, max_length: int | None = None
 ) -> frozenset[WeylElement]:
-    """{v in W^P : v <= w}, walked down from w's minimal representative, which
+    """{v in W^P : v <= w}, the ideal below w's minimal representative, which
     bounds the same ideal because projection to W^P keeps Bruhat order."""
     _check_levi(w.system, p)  # max_length is ignored, kept for old callers
     return _ideal(frozenset((min_coset_rep(w, p),)), p.levi)
