@@ -449,3 +449,34 @@ def a3_datum(a3, a3_parabolic, a3_w):
 @pytest.fixture(scope="session")
 def b3():
     return rootsystem.root_system("B", 3)
+
+
+def _diagram_automorphism(system):
+    """(theta on nodes, on elements, on roots) for the diagram automorphism
+    theta of A_n (i -> n+1-i), D_n (n-1 <-> n) or E6 (1 <-> 6, 3 <-> 5); None
+    for the other types.  Elements map through ``from_word`` of theta of a
+    reduced word, so they compare as elements: the greedy word of theta(w)
+    need not be theta of w's greedy word.  theta is an involution, so a
+    root's coordinate at theta(i) is its coordinate at i."""
+    ct, n = system.cartan_type, system.rank
+    if ct.family == "A" and n > 1:
+        node = {i: n + 1 - i for i in range(1, n + 1)}
+    elif ct.family == "D":
+        node = {**{i: i for i in range(1, n - 1)}, n - 1: n, n: n - 1}
+    elif ct == ("E", 6):
+        node = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+    else:
+        return None
+
+    def element(w):
+        return weyl.from_word(system, [node[i] for i in weyl.reduced_word(w)])
+
+    def root(beta):
+        return tuple(beta[node[j] - 1] for j in range(1, n + 1))
+
+    return node, element, root
+
+
+@pytest.fixture(scope="session")
+def diagram_automorphism():
+    return _diagram_automorphism

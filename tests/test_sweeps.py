@@ -378,3 +378,39 @@ def test_e6_cominuscule_sweep():
             assert nashcore.singular_fixed_points(d) == peterson.ck_singular_points(w, p)
             nodes.append(node)
     assert nodes == [1] * 27 + [6] * 27
+
+
+def test_results_correspond_under_diagram_automorphisms(diagram_automorphism):
+    # a diagram automorphism theta maps each datum (P, w) to (theta P,
+    # theta w), so Delta_w, the fibers, the translate counts and the fixed
+    # point table must map onto the image datum's; B_n and C_n have no theta
+    compared = Counter()
+    for ct in DEFAULT_TYPES + (CartanType("E", 6),):
+        rs = rootsystem.build(ct)
+        if diagram_automorphism(rs) is None:
+            continue
+        node, element, root = diagram_automorphism(rs)
+        results = {}
+        for d in cominuscule_data([ct]):
+            rows = {
+                (
+                    weyl.from_word(rs, r["v"]),
+                    weyl.from_word(rs, r["v_tilde"]),
+                    frozenset(map(tuple, r["weights"])),
+                )
+                for r in peterson.fixed_point_table(d)
+            }
+            fibers = nashcore.nash_fibers(d)
+            counts = peterson.translate_counts(d.w, d.p)
+            results[d.p.levi, d.w] = (nashcore.delta_w(d), fibers, counts, rows)
+        for (levi, w), (delta, fibers, counts, rows) in results.items():
+            mapped = (
+                frozenset(map(node.get, delta)),
+                {element(v): frozenset(map(element, f)) for v, f in fibers.items()},
+                Counter({element(z): c for z, c in counts.items()}),
+                {(element(v), element(t), frozenset(map(root, e))) for v, t, e in rows},
+            )
+            image = results[frozenset(map(node.get, levi)), element(w)]
+            assert mapped == image, (str(ct), weyl.reduced_word(w))
+            compared[str(ct)] += 1
+    assert compared == {"A2": 6, "A3": 14, "A4": 30, "A5": 62, "D4": 24, "E6": 54}
