@@ -33,6 +33,9 @@ route that the package's walk over cached per-(z, P) step tables, the only
 translation step in the package, is checked against.  ``sigma_on_mask``
 applies the walk's packings (``peterson._packings``) to a mask, so that the
 packings of one state can be checked by hand.
+``diagram_automorphism`` maps nodes, elements and roots of A_n, D_n and E6
+through the diagram automorphism, the relabeling under which every result
+of a datum must map onto the result of its image.
 """
 
 from collections import deque
