@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .rootsystem import Root, RootSystem, format_root
 from .weyl import (
@@ -35,7 +35,6 @@ from .weyl import (
     _check_levi,
     _element,
     _ideal_tables,
-    _read_only,
     _set_type,
     _table_length,
 )
@@ -67,14 +66,19 @@ class NotCominusculeError(ValueError):
         )
 
 
-class SchubertDatum:
+class SchubertDatum(
+    NamedTuple(
+        "SchubertDatum",
+        [("system", RootSystem), ("p", ParabolicSubset), ("w", WeylElement)],
+    )
+):
     """A cominuscule maximal parabolic P and a minimal coset representative w.
 
-    Immutable; its hash, that of ``(system, p, w)``, is taken once."""
+    A record: immutable, equal to and hashed as its field tuple ``(system, p, w)``."""
 
-    __slots__ = ("system", "p", "w", "_hash")
+    __slots__ = ()
 
-    def __init__(self, system: RootSystem, p: ParabolicSubset, w: WeylElement) -> None:
+    def __new__(cls, system: RootSystem, p: ParabolicSubset, w: WeylElement):
         _check_levi(system, p)
         missing = frozenset(range(1, system.rank + 1)) - p.levi
         if len(missing) != 1:
@@ -91,26 +95,7 @@ class SchubertDatum:
                 f"w = {format_word(reduced_word(w))} is not a minimal coset "
                 f"representative for levi {sorted(p.levi)}"
             )
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "_hash", hash((system, p, w)))
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SchubertDatum:
-            return False
-        return (self.system, self.p, self.w) == (other.system, other.p, other.w)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return SchubertDatum, (self.system, self.p, self.w)
-
-    def __repr__(self) -> str:
-        return f"SchubertDatum(system={self.system!r}, p={self.p!r}, w={self.w!r})"
+        return super().__new__(cls, system, p, w)
 
     @property
     def cominuscule_index(self) -> int:

@@ -38,7 +38,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .rootsystem import InvariantViolation, Root, RootSystem, format_root
+from .rootsystem import InvariantViolation, Root, RootSystem
 from . import nashcore
 from .weyl import (
     ParabolicSubset,
@@ -105,37 +105,19 @@ def mask_roots(system: RootSystem, mask: int) -> frozenset[Root]:
     return frozenset(roots[i] for i in _mask_indices(mask))
 
 
-class PetersonState:
-    """An immutable (z, M) pair with a precomputed hash.
+class PetersonState(NamedTuple):
+    """A (z, M) pair; a record, equal to and hashed as its field tuple.
 
     ``mask`` holds M as a bitmask over ``z.system.roots``; ``weights`` is
     the same set as root tuples, for rendering.
     """
 
-    __slots__ = ("z", "mask", "_hash")
-
-    def __init__(self, z: WeylElement, mask: int) -> None:
-        self.z = z
-        self.mask = mask
-        self._hash = hash((z, mask))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PetersonState)
-            and self.z == other.z
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    z: WeylElement
+    mask: int
 
     @property
     def weights(self) -> frozenset[Root]:
         return mask_roots(self.z.system, self.mask)
-
-    def __repr__(self) -> str:
-        ws = ", ".join(format_root(r) for r in sorted(self.weights))
-        return f"({format_word(reduced_word(self.z))}, {{{ws}}})"
 
 
 class TranslationGraph(NamedTuple):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rootsystem import InvariantViolation, Root, RootSystem
 
@@ -101,39 +101,12 @@ class WeylElement:
         return rs.roots[self.perm[_simple_indices(rs)[j - 1]]]
 
 
-def _read_only(self: object, name: str, value: object = None) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable slots records."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-
-class ParabolicSubset:
+class ParabolicSubset(NamedTuple):
     """A standard parabolic, named by the simple indices inside its Levi.
 
-    Immutable; its hash, the hash of ``(levi,)``, is taken once: a parabolic
-    keys the caches of every layer above."""
+    A record: immutable, equal to and hashed as its field tuple ``(levi,)``."""
 
-    __slots__ = ("levi", "_hash")
-
-    def __init__(self, levi: frozenset[int]) -> None:
-        object.__setattr__(self, "levi", levi)
-        object.__setattr__(self, "_hash", hash((levi,)))
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ParabolicSubset and self.levi == other.levi
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return ParabolicSubset, (self.levi,)
-
-    def __repr__(self) -> str:
-        return f"ParabolicSubset(levi={self.levi!r})"
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in sorted(self.levi)) + "}"
+    levi: frozenset[int]
 
 
 def parabolic(*indices: int) -> ParabolicSubset:

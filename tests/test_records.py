@@ -1,6 +1,8 @@
 """The record classes: immutable, equal and hashed by their field tuples."""
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +16,13 @@ def _records():
     w = (5, 2, 3, 4, 1)
     report = zelevinsky.conjecture_check(w)
     cov = zelevinsky.covexillary_datum(w)
+    graph = peterson.eventual_translates(datum.w, datum.p)
     return {
         "CartanType": rs.cartan_type,
         "ParabolicSubset": datum.p,
         "SchubertDatum": datum,
-        "TranslationGraph": peterson.eventual_translates(datum.w, datum.p),
+        "PetersonState": graph.root,
+        "TranslationGraph": graph,
         "Theorem2Report": peterson.verify_theorem2(datum),
         "CoessBox": cov.boxes[0],
         "NashConfig": grassmann.config_description((2, 5, 7, 1, 3, 4, 6, 8), 3),
@@ -34,6 +38,7 @@ FIELDS = {
     "CartanType": ("family", "rank"),
     "ParabolicSubset": ("levi",),
     "SchubertDatum": ("system", "p", "w"),
+    "PetersonState": ("z", "mask"),
     "TranslationGraph": ("root", "nodes", "edges"),
     "Theorem2Report": (
         "ok", "fixed_point_count", "state_count", "missing", "extra", "collisions",
@@ -64,6 +69,27 @@ def test_record_is_its_field_tuple(name):
     with pytest.raises(AttributeError):
         delattr(record, FIELDS[name][0])
     assert repr(record).startswith(f"{name}({FIELDS[name][0]}=")
+
+
+def test_one_record_idiom():
+    # the records take their hooks from NamedTuple; only WeylElement (lazy
+    # length and word, a hash that ignores PYTHONHASHSEED) writes its own
+    hooks = {"__hash__", "__setattr__", "__reduce__"}
+    writers = set()
+    for path in Path(weyl.__file__).parent.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = {node.name}
+                elif isinstance(node, ast.Assign):
+                    names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                if names & hooks:
+                    writers.add(cls.name)
+    assert writers == {"WeylElement"}
 
 
 def test_coess_boxes_sort_by_p_q_r():
