@@ -73,7 +73,10 @@ def _parse_ints(text: str, what: str, compact: bool = False) -> list[int]:
     parts = list(text.strip()) if compact else text.replace(",", " ").split()
     if not all(p.isascii() and p.isdigit() for p in parts):
         raise UsageError(f"could not parse {what} from {text!r}")
-    return [int(p) for p in parts]
+    try:
+        return [int(p) for p in parts]
+    except ValueError:  # past int()'s digit limit, far above every bound
+        raise UsageError(f"could not parse {what}: a number is too large") from None
 
 
 def _parse_perm(text: str) -> grassmann.Permutation:

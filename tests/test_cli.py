@@ -336,6 +336,9 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["conjecture", "--perm", "\u0665,\u0662,\u0663,\u0664,\u0661"],
         ["nash", *A3_ARGS[:-1], "\u0661,\u0663,\u0662"],
         ["nash", *A3_ARGS[:-1], "+2"],
+        # a number past int()'s digit limit, in a word and in a comma form
+        ["nash", *A3_ARGS[:-1], "1" * 5000],
+        ["conjecture", "--perm", "2,1," + "3" * 5000],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2

@@ -69,7 +69,7 @@ def test_public_surface():
             assert value.__name__ == f"nashblowup.{attr}", attr
 
 
-SRC_LINES = 3001  # raise on purpose, and say why in CHANGES.md
+SRC_LINES = 2944  # raise on purpose, and say why in CHANGES.md
 
 
 def test_src_line_budget():
