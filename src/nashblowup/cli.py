@@ -54,8 +54,8 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 # S_8's covexillary sweep is routine; S_9 waits for a recorded reach probe
 MAX_SWEEP_N = 8
-# the largest rank of --rank or of a --perm's S_n; a query at rank 16 (A16 has
-# 272 roots) takes under a second on a 2-vCPU Xeon, and cost grows with rank
+# the largest rank of --rank or of a --perm's S_n; on the top cell of Gr(8, 17)
+# nash takes 24 s and 276 MB on a 2-vCPU Xeon; peterson ran past 160 s and 1.3 GB
 MAX_RANK = 16
 # the largest verify ranges, and the largest rank per family in verify
 # --types (E has only E6 and E7); at each, one sweep takes under a minute on a
@@ -77,6 +77,16 @@ def _parse_ints(text: str, what: str, compact: bool = False) -> list[int]:
         return [int(p) for p in parts]
     except ValueError:  # past int()'s digit limit, far above every bound
         raise UsageError(f"could not parse {what}: a number is too large") from None
+
+
+def _int_arg(text: str) -> int:
+    """argparse's int; a number past int()'s digit limit is named, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        too_large = re.fullmatch(r"\s*[+-]?\d+\s*", text)
+        msg = "a number is too large" if too_large else f"invalid int value: {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _parse_perm(text: str) -> grassmann.Permutation:
@@ -115,10 +125,7 @@ def _parse_types(text: str) -> list[CartanType]:
     for token in text.split(","):
         if not re.fullmatch(r"[A-Za-z][0-9]+", token):
             raise UsageError(f"--types: {token!r} is not a family letter and a rank")
-        try:
-            ct = _cartan_type(token[0], int(token[1:]))
-        except ValueError:  # past int()'s digit limit, far above every cap
-            raise UsageError(f"--types: {token[:8]}...: rank too large") from None
+        ct = _cartan_type(token[0], *_parse_ints(token[1:], f"--types {token[:8]}..."))
         cap = TYPE_RANK_CAPS[ct.family]
         if ct.rank > cap:
             raise UsageError(f"--types: {ct}: type {ct.family} allows rank <= {cap}")
@@ -511,10 +518,10 @@ def cmd_types(args: argparse.Namespace) -> int:
 
 def _add_datum_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--type", help="A, B, C, D, E; inferred from --perm")
-    sub.add_argument("--rank", type=int)
+    sub.add_argument("--rank", type=_int_arg)
     sub.add_argument(
         "--node",
-        type=int,
+        type=_int_arg,
         help="cominuscule node left out of the levi; by default a --perm's "
         "descent or the type's only cominuscule node",
     )
@@ -551,9 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = subs.add_parser("conjecture", help="fiber-product count check")
     p_conj.add_argument("--perm", help="one covexillary permutation")
     p_conj.add_argument(
-        "--n", type=int, help=f"sweep all covexillary in S_n, 2..{MAX_SWEEP_N}"
+        "--n", type=_int_arg, help=f"sweep all covexillary in S_n, 2..{MAX_SWEEP_N}"
     )
-    p_conj.add_argument("--jobs", type=int, help="worker processes for --n, default 1")
+    p_conj.add_argument("--jobs", type=_int_arg, help="worker processes for --n, default 1")
     p_conj.add_argument("--format", choices=("text", "json"), default="text")
     p_conj.add_argument("--output")
     p_conj.set_defaults(func=cmd_conjecture)
@@ -569,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--max-n-fibers", 7, "largest n of the fiber-product sweep"),
     ):
         help_text = f"{what}, at most {VERIFY_LIMITS[flag]}"
-        p_ver.add_argument(flag, type=int, default=default, help=help_text)
+        p_ver.add_argument(flag, type=_int_arg, default=default, help=help_text)
     p_ver.add_argument("--skip-translates", action="store_true")
     p_ver.add_argument("--skip-coess", action="store_true")
     p_ver.add_argument("--skip-fibers", action="store_true")
@@ -579,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ty = subs.add_parser("types", help="supported Dynkin diagrams")
     p_ty.add_argument("--type")
-    p_ty.add_argument("--rank", type=int)
+    p_ty.add_argument("--rank", type=_int_arg)
     p_ty.add_argument("--output")
     p_ty.set_defaults(func=cmd_types)
 

@@ -103,7 +103,6 @@ class SchubertDatum(
         return idx
 
 
-@lru_cache(maxsize=256)
 def delta_w(d: SchubertDatum) -> frozenset[int]:
     """Levi indices whose simple root stays simple under w."""
     return frozenset(i for i in d.p.levi if d.system.is_simple(d.w.column(i)))

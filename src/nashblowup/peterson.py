@@ -11,8 +11,8 @@ Weight sets, ambient sets included, are int bitmasks over the indices of
 ``system.roots`` wherever they are handed out: bit i stands for
 ``system.roots[i]``.  Root tuples appear only when a state is rendered.
 
-All of tau but M depends on (z, P) alone, so one bounded cache holds a step
-table per (z, P): ambient(z), and per left inversion gamma the target z',
+All of tau but M depends on (z, P) alone, so one store per parabolic holds
+a step table per z: ambient(z), and per left inversion gamma the target z',
 r_gamma's root permutation, and for each gamma-string with two or more
 ambient roots its packed sets by count.  Iterating from (w, LInv(w)) until
 no further translation applies is one breadth-first walk over these
@@ -128,7 +128,6 @@ class TranslationGraph(NamedTuple):
     edges: tuple[tuple[PetersonState, Root, PetersonState], ...]
 
 
-@lru_cache(maxsize=2048)
 def ambient_weights(z: WeylElement, p: ParabolicSubset) -> int:
     """z(R^- minus R_L^-) as a mask: the ambient set that carries every M."""
     rs = z.system
@@ -198,9 +197,11 @@ def _packing(smask: int, ix: tuple, inside: int, pack: type, sets: type) -> tupl
     return smask, members, tuple(pack(ix[mu : mu + c]) for c in range(len(run) + 1))
 
 
-# the walks of different w meet the same (z, P), so tables are reused across
-# walks; the bound keeps the memory of a long sweep flat
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=1)  # one parabolic's store {z.perm: step table}, filled by _walk
+def _step_tables(system: RootSystem, p: ParabolicSubset) -> dict:
+    return {}
+
+
 def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
     """(ambient(z), steps): ambient(z) from :func:`ambient_weights` as the
     root indices the walk deletes, and one step per left inversion gamma of
@@ -229,8 +230,8 @@ def _step_table(z: WeylElement, p: ParabolicSubset) -> tuple:
 def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tuple:
     """(nodes, tables): the (z, M) reached from (w, LInv(w)) in breadth-first
     order, steps of each in sorted order of gamma, M the ascending index set
-    of its roots (bytes up to 256 roots, a tuple above), and each z's step
-    table by z.perm; each step goes to ``edges``, if given, as (source, gamma, target).
+    of its roots (bytes up to 256 roots, a tuple above), and the store of
+    P's step tables; each step goes to ``edges``, if given, as (source, gamma, target).
     Each state is checked to lie in ambient(z) when its steps are taken, so
     before the walk returns: the start raises ValueError, a translate
     InvariantViolation.
@@ -241,8 +242,7 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tupl
     and a sort.
     """
     rs = w.system
-    _check_levi(rs, p)
-    if not is_min_coset_rep(w, p):
+    if not is_min_coset_rep(w, p):  # which checks p's indices first
         raise ValueError(
             f"{format_word(reduced_word(w))} is not a minimal coset representative"
         )
@@ -253,7 +253,7 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tupl
     # keyed by raw tables, hashed in C; an element's __hash__ would run
     # Python code.  Only lookups: the order is that of ``nodes``
     position = {(w.perm, nodes[0][1]): 0}
-    tables: dict = {}  # z.perm -> step table, in front of the bounded cache
+    tables = _step_tables(rs, p)
     for src, (z, m) in enumerate(nodes):  # grows while it is read
         table = tables.get(z.perm)
         if table is None:
@@ -292,14 +292,11 @@ def _walk(w: WeylElement, p: ParabolicSubset, edges: list | None = None) -> tupl
     return nodes, tables
 
 
-@lru_cache(maxsize=1)
 def eventual_translates(w: WeylElement, p: ParabolicSubset) -> TranslationGraph:
     """Breadth-first closure of translation from (w, LInv(w)).
 
     Deterministic: neighbors are explored in lexicographic order of gamma.
     Edge targets always have strictly smaller length, so the graph is acyclic.
-    The last graph built is memoised (one entry), so checks of one datum made
-    in a row share it; graphs and states are immutable, so that is safe.
     """
     found: list[tuple[int, Root, int]] = []
     nodes = tuple(PetersonState(z, _index_mask(m)) for z, m in _walk(w, p, found)[0])
@@ -316,7 +313,6 @@ def translate_counts(w: WeylElement, p: ParabolicSubset) -> Counter[WeylElement]
     return Counter(z for z, _ in _walked(w, p)[0])
 
 
-@lru_cache(maxsize=256)
 def _tangent_indices(d: nashcore.SchubertDatum) -> tuple[int, ...]:
     """E = w^{-1}(LInv(w)) as indices in ``d.system.roots``: the i >= n (the
     negative roots) with ``w.perm[i] < n``, which w makes positive."""

@@ -286,16 +286,14 @@ def _conjecture_verdict(w: grassmann.Permutation) -> tuple[tuple[int, ...], list
 
 
 def conjecture_sweep(n: int, jobs: int = 1) -> SweepOutcome:
-    out = SweepOutcome(f"fiber-product conjecture on S_{n}")
-    perms = list(covexillary_perms(n))
+    # by descent set, so that one parabolic's walks run in a row and share tables
+    perms = sorted(covexillary_perms(n), key=lambda w: sorted(grassmann.descent_set(w)))
     if jobs > 1:  # the pool stack loads only here, off the start-up path
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_conjecture_verdict, perms, chunksize=16))
     else:
         results = [_conjecture_verdict(w) for w in perms]
-    for w, bad in results:
-        out.checked += 1
-        if bad:
-            out.failures.append({"w": list(w), "points": bad})
-    return out
+    # in lexicographic order of w; each w comes once, so only w is compared
+    failures = [{"w": list(w), "points": bad} for w, bad in sorted(results) if bad]
+    return SweepOutcome(f"fiber-product conjecture on S_{n}", len(results), failures)

@@ -307,7 +307,6 @@ def inverse(w: WeylElement) -> WeylElement:
     return _element(w.system, type(perm)(inv))
 
 
-@lru_cache(maxsize=4096)
 def left_inversions(w: WeylElement) -> frozenset[Root]:
     """LInv(w) = w(R^-) intersected with R^+."""
     rs = w.system
@@ -320,7 +319,6 @@ def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
     return not (right_descents(w) & p.levi)
 
 
-@lru_cache(maxsize=4096)
 def min_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
     """The minimal length representative of w W_P."""
     _check_levi(w.system, p)

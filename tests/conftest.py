@@ -29,7 +29,7 @@ which keys each coset by z(R^- minus R_L^-), is checked against.
 ``oracle_translates`` is the translation graph with the step done per edge
 (``_oracle_tau`` after ``_oracle_sigma_shift``): each edge looks up its
 reflection, its target coset and the strings of M on the spot.  It is the
-route that the package's walk over cached per-(z, P) step tables, the only
+route that the package's walk over its per-parabolic step tables, the only
 translation step in the package, is checked against.  ``sigma_on_mask``
 applies the walk's packings (``peterson._packings``) to a mask, so that the
 packings of one state can be checked by hand.
@@ -379,9 +379,9 @@ def gamma_strings_by_tuples():
 
 @pytest.fixture
 def fresh_step_tables():
-    """Empty the step tables and the walk memos before and after a test that
-    patches what they are built from, so no patched table outlives it."""
-    memos = (peterson._step_table, peterson.eventual_translates, peterson._walked)
+    """Empty the step-table store and the walk memo before and after a test
+    that patches what they are built from, so no patched table outlives it."""
+    memos = (peterson._step_tables, peterson._walked)
     for memo in memos:
         memo.cache_clear()
     yield

@@ -284,14 +284,10 @@ def test_criterion_8d_json_determinism():
     rs = rootsystem.root_system("A", 3)
     w = weyl.from_word(rs, [1, 3, 2])
     p = weyl.parabolic(1, 3)
-    first = json.dumps(
-        peterson.graph_to_json(peterson.eventual_translates(w, p)),
-        sort_keys=True,
-    )
-    peterson.eventual_translates.cache_clear()  # build anew, not the memoised graph
-    second = json.dumps(
-        peterson.graph_to_json(peterson.eventual_translates(w, p)),
-        sort_keys=True,
+    graphs = [peterson.eventual_translates(w, p) for _ in range(2)]
+    assert graphs[0] is not graphs[1]  # built anew, not a memoised graph
+    first, second = (
+        json.dumps(peterson.graph_to_json(g), sort_keys=True) for g in graphs
     )
     ok = first == second
     verdict("criterion 8d: serialization determinism", ok)

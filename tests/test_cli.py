@@ -356,6 +356,20 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         assert code == 2
         assert out == ""
         assert err == f"error: --perm {argv[-1]!r}: the permutation is empty\n"
+    # an int option past int()'s digit limit is named, not echoed; text that
+    # is no number keeps argparse's own message
+    for argv, last in (
+        (["nash", "--type", "A", "--rank", "3", "--node", "9" * 5000, "--word", "1"],
+         "argument --node: a number is too large"),
+        (["conjecture", "--n", "9" * 5000], "argument --n: a number is too large"),
+        (["conjecture", "--n", "six"], "argument --n: invalid int value: 'six'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert len(err.encode()) < 500
+        assert err.splitlines()[-1].endswith(last)
 
 
 OPTIONS = {

@@ -89,7 +89,6 @@ class TestA3Graph:
         assert Counter(s.z for s in a3_graph.nodes)[identity(a3)] == 4
 
     def test_deterministic_rerun(self, a3_w, a3_parabolic, a3_graph):
-        eventual_translates.cache_clear()  # build anew, not the memoised graph
         again = eventual_translates(a3_w, a3_parabolic)
         assert again is not a3_graph
         assert list(again.nodes) == list(a3_graph.nodes)
@@ -504,7 +503,6 @@ def test_walk_matches_the_per_edge_oracle(name, oracle_translates):
     assert cases
     for w, p in cases:
         want = oracle_translates(w, p)
-        eventual_translates.cache_clear()
         got = eventual_translates(w, p)
         assert got.root == want.root
         assert got.nodes == want.nodes
@@ -523,7 +521,6 @@ def test_tuple_table_walk_matches_the_oracle(pattern, oracle_translates):
     z, p = _covexillary_seed(pattern + tuple(range(len(pattern) + 1, 18)))
     assert type(z.perm) is tuple
     want = oracle_translates(z, p)
-    eventual_translates.cache_clear()
     got = eventual_translates(z, p)
     assert (got.root, got.nodes, got.edges) == (want.root, want.nodes, want.edges)
     counts = peterson.translate_counts(z, p)
@@ -547,14 +544,24 @@ def test_tuple_table_walk_checks_the_ambient_set(monkeypatch, fresh_step_tables)
         peterson.translate_counts(z, p)
 
 
-def test_step_tables_stay_within_their_bound():
-    # S_6 revisits its (z, P) across walks: tables are reused, never unbounded
-    peterson._step_table.cache_clear()
+def test_step_tables_stay_within_their_bound(monkeypatch, fresh_step_tables):
+    # S_6 revisits its (z, P) across walks: the sweep takes the w of one
+    # parabolic in a row, so each table is built once, and the store holds
+    # the tables of one parabolic only
+    built = []
+    real = peterson._step_table
+
+    def counted(z, p):
+        built.append((z.perm, p))
+        return real(z, p)
+
+    monkeypatch.setattr(peterson, "_step_table", counted)
     assert sweeps.conjecture_sweep(6).checked == 513
-    info = peterson._step_table.cache_info()
-    assert info.maxsize is not None
-    assert 0 < info.currsize <= info.maxsize
-    assert info.hits > info.misses
+    assert len(built) == len(set(built)) == 864
+    assert peterson._step_tables.cache_info().currsize == 1
+    last = built[-1][1]
+    store = peterson._step_tables(rootsystem.root_system("A", 5), last)
+    assert set(store) == {perm for perm, p in built if p == last}
 
 
 # -- gamma-strings on root codes, and theorem 2 when it fails ------------------

@@ -69,7 +69,40 @@ def test_public_surface():
             assert value.__name__ == f"nashblowup.{attr}", attr
 
 
-SRC_LINES = 2944  # raise on purpose, and say why in CHANGES.md
+# every functools.lru_cache of the package by module.name, with its maxsize:
+# a cache is added or rebounded on purpose, and CHANGES.md says why
+CACHES = {
+    "grassmann._e_index": None, "grassmann._e_pairs": None,
+    "nashcore._ambient_indices": None, "nashcore._fixed_point_groups": 1,
+    "peterson._gamma_strings": None, "peterson._packing": None,
+    "peterson._root_codes": 16, "peterson._step_tables": 1, "peterson._walked": 1,
+    "rootsystem.build": None,
+    "weyl._element": None, "weyl._ideal": 64, "weyl._reflection_tables": 16,
+    "weyl._simple_indices": None, "weyl._simple_steps": 16, "weyl.bruhat_leq": None,
+    "weyl.identity": None, "weyl.reflection_from_root": None,
+    "weyl.simple_reflection": None,
+}
+
+
+def test_cache_inventory():
+    src = Path(nashblowup.__file__).resolve().parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"nashblowup.{path.stem}")
+        for attr, value in vars(module).items():
+            # an imported cache is counted once, in the module that makes it
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                found[f"{path.stem}.{attr}"] = value.cache_parameters()["maxsize"]
+    assert found == CACHES
+    # a cache made where the scan above cannot see it, inside a function or a
+    # class, still shows in the source
+    texts = [p.read_text(encoding="utf-8") for p in src.glob("*.py")]
+    assert sum(t.count("lru_cache(") for t in texts) == len(CACHES)
+
+
+SRC_LINES = 2942  # raise on purpose, and say why in CHANGES.md
 
 
 def test_src_line_budget():

@@ -104,20 +104,31 @@ def test_singular_agreement_sweep_small():
     assert out.checked == 30
 
 
-def test_cominuscule_sweep_walks_once_per_datum():
+def test_cominuscule_sweep_walks_once_per_datum(monkeypatch):
     # both checks of a datum read one edge-free walk (built by verify_theorem2,
     # reused by ck_singular_points) and one pass over the fixed points: no
     # translation graph is built and no fixed point is projected to W^P (the
     # one projection per parabolic lists the data)
-    for memo in (peterson.eventual_translates, peterson._walked, weyl.min_coset_rep):
-        memo.cache_clear()
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(peterson, "eventual_translates")
+    for module in (weyl, peterson):  # peterson binds its own name
+        counted(module, "min_coset_rep")
+    peterson._walked.cache_clear()
     bij, sing = cominuscule_sweep(SMALL)
     walks = peterson._walked.cache_info()
     assert (walks.misses, walks.hits) == (30, 30)
-    graphs = peterson.eventual_translates.cache_info()
-    assert (graphs.misses, graphs.hits) == (0, 0)
-    projections = weyl.min_coset_rep.cache_info()
-    assert projections.misses + projections.hits == 8  # A1 1, A2 2, A3 3, B2 1, C2 1
+    assert calls["eventual_translates"] == 0
+    assert calls["min_coset_rep"] == 8  # A1 1, A2 2, A3 3, B2 1, C2 1
     assert (bij.label, bij.checked, bij.failures) == ("translate bijection", 30, [])
     assert (sing.label, sing.checked, sing.failures) == (
         "singular locus agreement", 30, []
@@ -176,7 +187,7 @@ def test_cover_walks_match_the_bruhat_oracle_on_every_sweep_datum(weyl_group):
 def test_package_paths_make_no_bruhat_test(a3, a3_w, a3_datum):
     # membership in a walked ideal answers every "v <= w" of the package;
     # clear the walk caches too, so that each path runs in full
-    for cached in (weyl.bruhat_leq, weyl._ideal, peterson.eventual_translates):
+    for cached in (weyl.bruhat_leq, weyl._ideal, peterson._walked):
         cached.cache_clear()
     cominuscule_sweep(SMALL)
     zelevinsky.conjecture_check((2, 5, 3, 1, 4))
@@ -356,10 +367,17 @@ def test_conjecture_sweep_s5_finds_the_counterexample():
 
 
 def test_conjecture_sweep_parallel_matches_serial():
-    serial = conjecture_sweep(4)
-    parallel = conjecture_sweep(4, jobs=2)
-    assert serial.checked == parallel.checked
-    assert serial.failures == parallel.failures
+    # S_4 has no failure; S_6's 20 failures span 6 descent sets, so the pool
+    # path must put its grouped outcomes back in lexicographic order of w
+    for n in (4, 6):
+        serial = conjecture_sweep(n)
+        parallel = conjecture_sweep(n, jobs=2)
+        assert serial.checked == parallel.checked
+        assert serial.failures == parallel.failures
+        failed = [f["w"] for f in serial.failures]
+        assert failed == sorted(failed)
+    descents = {grassmann.descent_set(tuple(w)) for w in failed}
+    assert (len(failed), len(descents)) == (20, 6)
 
 
 def test_e6_cominuscule_sweep():
